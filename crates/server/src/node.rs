@@ -286,9 +286,15 @@ pub(crate) fn main_loop(
         Vec::new()
     };
 
-    let read_loads = |own: u32, loads: &mut Vec<u32>| {
-        if let Ok(bytes) = ctx.nic.read_region(ctx.load_region, 0, 4 * ctx.nodes) {
-            for (i, chunk) in bytes.chunks_exact(4).enumerate() {
+    // Loads are read on every dispatch, into one buffer allocated here.
+    let mut load_bytes = vec![0u8; 4 * ctx.nodes];
+    let mut read_loads = |own: u32, loads: &mut Vec<u32>| {
+        if ctx
+            .nic
+            .read_region_into(ctx.load_region, 0, &mut load_bytes)
+            .is_ok()
+        {
+            for (i, chunk) in load_bytes.chunks_exact(4).enumerate() {
                 loads[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
             }
         }
@@ -892,9 +898,14 @@ fn poll_file_rings(
         loop {
             let slot = ((expected[src] - 1) % ctx.window as u64) as usize;
             let trailer_off = slot * ctx.ring_slot_bytes + ctx.ring_slot_bytes - RING_TRAILER_BYTES;
-            let Ok(trailer) = ctx.nic.read_region(ring, trailer_off, RING_TRAILER_BYTES) else {
+            let mut trailer = [0u8; RING_TRAILER_BYTES];
+            if ctx
+                .nic
+                .read_region_into(ring, trailer_off, &mut trailer)
+                .is_err()
+            {
                 break;
-            };
+            }
             let Some((len, token, parent, seq)) = decode_ring_trailer(&trailer) else {
                 break;
             };
@@ -1147,11 +1158,6 @@ fn post_legacy(
     }
 }
 
-/// How long a partially-filled doorbell batch may wait before the stale
-/// flush posts it anyway — bounds the tail latency a coalesced message
-/// can pay on a lightly loaded connection.
-const DOORBELL_MAX_DELAY: Duration = Duration::from_micros(200);
-
 /// Flushes one peer's doorbell, surfacing failures as via_errors.
 fn flush_bell(ctx: &NodeCtx, bell: &mut Option<Doorbell>) {
     if let Some(b) = bell {
@@ -1271,38 +1277,27 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
 
     // V6 fast path: one doorbell per peer coalescing descriptor posts,
     // fed from the shared slab pool. All None when doorbell_batch is 1,
-    // leaving the V0–V5 path byte-for-byte untouched.
+    // leaving the V0–V5 path byte-for-byte untouched. No staleness bound:
+    // the loop below drains on idle and never calls `flush_stale`.
     let mut bells: Vec<Option<Doorbell>> = (0..n)
         .map(|peer| {
             (ctx.doorbell_batch > 1)
                 .then(|| ctx.vis[peer].clone())
                 .flatten()
-                .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, DOORBELL_MAX_DELAY))
+                .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
         })
         .collect();
 
     loop {
-        // The fast path wakes periodically to flush batches that went
-        // stale (no later send arrived to fill them); V0–V5 block.
-        let job = if ctx.doorbell_batch > 1 {
-            match jobs.recv_timeout(DOORBELL_MAX_DELAY) {
-                Ok(j) => j,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    for bell in bells.iter_mut().flatten() {
-                        if bell.flush_stale().is_err() {
-                            ServerStats::bump(&ctx.stats.via_errors);
-                        }
-                    }
-                    continue;
-                }
-                Err(_) => break,
+        // Drain-on-idle batching: ring every staged doorbell before
+        // blocking, so a batch only coalesces messages that were already
+        // queued and a lone message never waits for a later one.
+        if jobs.is_empty() {
+            for bell in bells.iter_mut() {
+                flush_bell(&ctx, bell);
             }
-        } else {
-            match jobs.recv() {
-                Ok(j) => j,
-                Err(_) => break,
-            }
-        };
+        }
+        let Ok(job) = jobs.recv() else { break };
         match job {
             SendJob::Shutdown => break,
             SendJob::Msg {

@@ -371,6 +371,55 @@ fn fast_path_traces_coalesced_doorbells() {
 }
 
 #[test]
+fn fast_path_lone_messages_leave_without_waiting_for_a_batch() {
+    use press_telem::{EventKind, LiveTracer};
+    let tracer = LiveTracer::new();
+    // One client, one request at a time: a doorbell batch of 8 never
+    // fills, so each forward leaves only because the send thread rings
+    // its staged doorbells when its job queue drains. Periodic load
+    // writes (which flush as a side effect) are off, so a broken drain
+    // would strand every forward until its retry timeout.
+    let cfg = LiveConfig {
+        file_transfer: FileTransferMode::RemoteWrite,
+        doorbell_batch: 8,
+        load_write_period: u32::MAX,
+        ..LiveConfig::default()
+    };
+    let cluster =
+        LiveCluster::start_with_tracer(cfg, small_catalog(32, 2048), Some(Arc::clone(&tracer)));
+    for i in 0..96u32 {
+        let file = FileId((i * 7) % 32);
+        let node = i as usize % cluster.nodes();
+        let data = cluster.request(node, file, T).expect("request");
+        assert_eq!(
+            data,
+            file_contents(file, 2048),
+            "request {i} via node {node}"
+        );
+    }
+    let stats = cluster.stats();
+    assert!(
+        ServerStats::get(&stats.forwarded) > 0,
+        "no forwarding happened"
+    );
+    assert_eq!(
+        ServerStats::get(&stats.retries),
+        0,
+        "a forward waited past its retry timeout"
+    );
+    assert_eq!(ServerStats::get(&stats.via_errors), 0);
+    let trace = cluster.shutdown_traced().expect("tracer was installed");
+    // A doorbell ring carries its batch size in `b`: rings of one show
+    // lone messages leaving on their own.
+    let lone = trace
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::ViaPost && e.b == 1)
+        .count();
+    assert!(lone > 0, "no un-coalesced doorbell rings traced");
+}
+
+#[test]
 fn fast_path_survives_window_pressure() {
     // Tiny windows force credit stalls — each stall must flush the
     // doorbell or the cluster deadlocks waiting on credits.

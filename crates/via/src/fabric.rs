@@ -469,6 +469,29 @@ impl Nic {
         Ok(bytes[offset..offset + len].to_vec())
     }
 
+    /// Copies `out.len()` bytes out of a registered region into `out`:
+    /// the allocation-free form of [`Nic::read_region`], for loops that
+    /// poll the same bytes over and over. `out` is untouched on error.
+    ///
+    /// # Errors
+    ///
+    /// [`ViaError::UnknownRegion`] for a deregistered handle,
+    /// [`ViaError::OutOfBounds`] if the range overruns the region.
+    pub fn read_region_into(
+        &self,
+        h: MemHandle,
+        offset: usize,
+        out: &mut [u8],
+    ) -> Result<(), ViaError> {
+        let r = self.shared.region(h)?;
+        let bytes = r.bytes.read();
+        if offset + out.len() > bytes.len() {
+            return Err(ViaError::OutOfBounds);
+        }
+        out.copy_from_slice(&bytes[offset..offset + out.len()]);
+        Ok(())
+    }
+
     /// Writes bytes into a registered region (local access; tests and
     /// senders preparing buffers).
     pub fn write_region(&self, h: MemHandle, offset: usize, data: &[u8]) -> Result<(), ViaError> {
@@ -1371,6 +1394,24 @@ mod tests {
         a.deregister(ma).unwrap();
         assert_eq!(a.read_region(ma, 0, 1), Err(ViaError::UnknownRegion));
         assert_eq!(a.deregister(ma), Err(ViaError::UnknownRegion));
+    }
+
+    #[test]
+    fn read_region_into_matches_read_region() {
+        let fabric = Fabric::new();
+        let a = fabric.create_nic("a");
+        let m = a.register((0..64).collect(), false).unwrap();
+        let mut out = [0u8; 16];
+        a.read_region_into(m, 8, &mut out).unwrap();
+        assert_eq!(out.to_vec(), a.read_region(m, 8, 16).unwrap());
+        // An overrun is refused before anything is copied.
+        let mut out = [0xEE; 16];
+        assert_eq!(
+            a.read_region_into(m, 56, &mut out),
+            Err(ViaError::OutOfBounds)
+        );
+        assert_eq!(a.read_region(m, 56, 16), Err(ViaError::OutOfBounds));
+        assert_eq!(out, [0xEE; 16]);
     }
 
     #[test]

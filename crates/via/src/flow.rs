@@ -31,9 +31,12 @@ pub const MAX_DOORBELL: usize = 8;
 /// amortizes that cost under load. The batch is flushed when it reaches
 /// `batch` messages, when [`Doorbell::flush`] is called explicitly
 /// (callers do this on credit edges and before unbatched traffic, to
-/// preserve ordering), or when the oldest staged message has waited
-/// longer than `max_delay` and [`Doorbell::flush_stale`] runs — so a
-/// lone message is never stranded.
+/// preserve ordering), and when the owner's work queue drains: an owner
+/// that flushes before it blocks coalesces only messages that were
+/// already queued, so a lone message never waits for a later one.
+/// [`Doorbell::flush_stale`], which flushes once the oldest staged
+/// message has waited `max_delay`, is the fallback for callers that have
+/// no drain point.
 ///
 /// Messages within a batch are processed by the engine in staging order,
 /// so batching never reorders completions relative to unbatched posting.
@@ -50,8 +53,9 @@ pub struct Doorbell {
 
 impl Doorbell {
     /// Creates a doorbell batcher over `vi` that flushes automatically
-    /// at `batch` staged messages or once a staged message is older
-    /// than `max_delay` (checked by [`Doorbell::flush_stale`]).
+    /// at `batch` staged messages. `max_delay` is the staleness bound
+    /// [`Doorbell::flush_stale`] checks; an owner that flushes when its
+    /// work queue drains never needs it.
     ///
     /// # Panics
     ///
@@ -130,8 +134,9 @@ impl Doorbell {
     }
 
     /// Flushes only if the oldest staged message has waited at least
-    /// `max_delay`. Callers poll this from their event loop so lightly
-    /// loaded connections do not sit on a partial batch.
+    /// `max_delay`: the fallback for callers with no drain point, which
+    /// poll this from their event loop so lightly loaded connections do
+    /// not sit on a partial batch.
     ///
     /// # Errors
     ///
