@@ -16,8 +16,8 @@ use press_via::{
 
 use crate::membership::Membership;
 use crate::node::{
-    disk_loop, main_loop, recv_loop, send_loop, slot_bytes_for, FileTransferMode, MainConfig,
-    NodeCtx, NodeEvent, Reply, SendJob,
+    disk_loop, main_loop, recv_loop, ring_write_hook, send_loop, slot_bytes_for, FileTransferMode,
+    MainConfig, NodeCtx, NodeEvent, Reply, SendJob,
 };
 use crate::stats::ServerStats;
 use crate::wire::{HEADER_BYTES, RING_TRAILER_BYTES};
@@ -444,7 +444,15 @@ impl LiveCluster {
                 dead: Arc::clone(&dead[i]),
                 trace: tracer.as_ref().map(|t| t.handle(i as u16, lane::MAIN)),
                 load_write_fanout: cfg.load_write_fanout,
+                ring_write_pending: Arc::new(AtomicBool::new(false)),
             });
+            // A reply landing in one of our file rings wakes our main loop.
+            let hook = ring_write_hook(Arc::clone(&ctx.ring_write_pending), main_tx.clone());
+            for &ring in ctx.own_rings.iter().flatten() {
+                nics[i]
+                    .on_remote_write(ring, Arc::clone(&hook))
+                    .expect("install file ring hook");
+            }
             let main_cfg = MainConfig {
                 catalog: Arc::clone(&catalog),
                 cache_bytes: cfg.cache_bytes,

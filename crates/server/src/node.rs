@@ -34,8 +34,11 @@ pub enum FileTransferMode {
     /// Regular VIA send/receive: the receiver's posted descriptor
     /// completes and wakes the receive thread (versions V0–V2).
     Regular,
-    /// Remote memory writes into per-pair circular buffers, discovered by
-    /// the main thread polling sequence numbers (versions V3–V5).
+    /// Remote memory writes into per-pair circular buffers (versions
+    /// V3–V6). The main thread consumes them by polling the sequence
+    /// numbers at the end of each loop pass; a landed write wakes a
+    /// parked main thread through the ring's write hook, so a reply
+    /// never waits for a timer.
     RemoteWrite,
 }
 
@@ -66,6 +69,9 @@ pub(crate) enum NodeEvent {
     Remote { from: usize, msg: WireMsg },
     /// The disk thread finished reading `file`.
     DiskDone { file: FileId },
+    /// A remote write landed in one of this node's file rings. Only a
+    /// wake-up: the ring poll at the end of every loop pass consumes it.
+    RingWrite,
     /// Fault injection: this node crashes. In-flight state is lost and
     /// events are discarded until [`NodeEvent::Recover`].
     Crash,
@@ -146,6 +152,28 @@ pub(crate) struct NodeCtx {
     /// Sparse load dissemination: RDMA-write the periodic load update to
     /// only this many sampled live peers (0 = all live peers).
     pub load_write_fanout: u32,
+    /// Set by the file rings' write hook while a `RingWrite` is queued,
+    /// so a burst of writes queues one event; cleared by the main loop
+    /// just before it polls the rings.
+    pub ring_write_pending: Arc<AtomicBool>,
+}
+
+/// The write hook installed on each of a node's file rings: a landed
+/// write queues one [`NodeEvent::RingWrite`] unless one is already
+/// pending.
+pub(crate) fn ring_write_hook(
+    pending: Arc<AtomicBool>,
+    events: Sender<NodeEvent>,
+) -> Arc<dyn Fn() + Send + Sync> {
+    Arc::new(move || {
+        // The swap reads the latest value, so a write that lands after
+        // the main loop's clear always queues a fresh wake-up.
+        // ordering: Release — publishes the landed ring bytes to the
+        // main loop's Acquire swap that clears the flag.
+        if !pending.swap(true, Ordering::Release) {
+            let _ = events.send(NodeEvent::RingWrite);
+        }
+    })
 }
 
 impl NodeCtx {
@@ -303,21 +331,22 @@ pub(crate) fn main_loop(
 
     let mut ring_expected = vec![1u64; ctx.nodes];
     let mut ring_consumed = vec![0u32; ctx.nodes];
-    // Regular mode used to block forever on the event channel; retry
-    // deadlines need a periodic wake-up, so both modes tick (RemoteWrite
-    // keeps its tight ring-polling cadence).
-    let tick = if ctx.file_mode == FileTransferMode::RemoteWrite {
-        Duration::from_micros(100)
-    } else {
-        Duration::from_millis(1)
-    };
+    // The tick only bounds how late a retry deadline is noticed. Nothing
+    // else waits for it: every message, disk completion and landed ring
+    // write arrives as an event.
+    let tick = Duration::from_millis(1);
     loop {
         let event = match events.recv_timeout(tick) {
             Ok(ev) => Some(ev),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
             Err(_) => break,
         };
-        let got_event = event.is_some();
+        // A ring wake-up only runs the ring poll. It does not advance the
+        // load-write cadence, so load writes per request do not depend on
+        // how many wake-ups the replies raised.
+        let got_event = event
+            .as_ref()
+            .is_some_and(|ev| !matches!(ev, NodeEvent::RingWrite));
         if let Some(event) = event {
             match event {
                 NodeEvent::Shutdown => break,
@@ -345,6 +374,7 @@ pub(crate) fn main_loop(
                 NodeEvent::Recover => {
                     crashed = false;
                 }
+                NodeEvent::RingWrite => {}
                 _ if crashed => {
                     // A dead host executes nothing. Client requests routed
                     // here before the membership change are lost (their
@@ -705,6 +735,11 @@ pub(crate) fn main_loop(
         // into the dead host) so the rings stay aligned for recovery, but
         // it returns no credits and completes nothing.
         if ctx.file_mode == FileTransferMode::RemoteWrite {
+            // Clear the wake flag before polling: any write that lands
+            // after this finds it clear and queues a fresh `RingWrite`.
+            // ordering: Acquire — pairs with `ring_write_hook`'s Release
+            // swap, so every write whose hook saw the flag set is visible.
+            ctx.ring_write_pending.swap(false, Ordering::Acquire);
             poll_file_rings(
                 &ctx,
                 &send_tx,
@@ -879,7 +914,8 @@ pub(crate) fn main_loop(
 /// slot's last bytes, and when the next expected number has landed,
 /// consumes the entry (completing the pending client request) and
 /// returns credits in batches. This is PRESS's version-3 receive path —
-/// no interrupts, no receive-thread involvement.
+/// no receive-thread involvement; the rings' write hook only wakes the
+/// main loop so that this poll runs.
 #[allow(clippy::too_many_arguments)]
 fn poll_file_rings(
     ctx: &NodeCtx,

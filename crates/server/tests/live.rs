@@ -2,7 +2,7 @@
 //! concurrent load.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use press_server::{
     file_contents, FileTransferMode, LiveCluster, LiveConfig, LiveError, ServerStats,
@@ -417,6 +417,75 @@ fn fast_path_lone_messages_leave_without_waiting_for_a_batch() {
         .filter(|e| e.kind == EventKind::ViaPost && e.b == 1)
         .count();
     assert!(lone > 0, "no un-coalesced doorbell rings traced");
+}
+
+/// Sends 96 sequential byte-checked requests for 2 KiB files to `node`,
+/// once to warm every cache and once timed, and returns the median
+/// latency of the timed requests that `node` forwarded.
+fn median_forwarded_latency(cluster: &LiveCluster, node: usize) -> Duration {
+    let mut forwarded = Vec::new();
+    for pass in 0..2 {
+        for i in 0..96u32 {
+            let file = FileId((i * 7) % 32);
+            let before = ServerStats::get(&cluster.stats().forwarded);
+            let start = Instant::now();
+            let data = cluster.request(node, file, T).expect("request");
+            let took = start.elapsed();
+            assert_eq!(data, file_contents(file, 2048), "request {i}");
+            if pass == 1 && ServerStats::get(&cluster.stats().forwarded) > before {
+                forwarded.push(took);
+            }
+        }
+    }
+    assert!(!forwarded.is_empty(), "no forwarding happened");
+    forwarded.sort();
+    forwarded[forwarded.len() / 2]
+}
+
+#[test]
+fn fast_path_replies_wake_the_main_loop() {
+    // A V6 reply is a remote write into the initial node's file ring and
+    // raises no message. The ring's write hook must wake the parked main
+    // loop: a reply left for the 1 ms tick would cost a forwarded request
+    // about a millisecond. The median keeps one descheduled request on a
+    // busy host from deciding the outcome.
+    let cfg = LiveConfig {
+        file_transfer: FileTransferMode::RemoteWrite,
+        doorbell_batch: 8,
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start(cfg, small_catalog(32, 2048));
+    let bound = Duration::from_micros(500);
+    let warm = median_forwarded_latency(&cluster, 0);
+    assert!(warm < bound, "forwarded median {warm:?} before a crash");
+    // Crash the initial node as soon as it forwards a request, so the
+    // reply lands in its ring while it is down, then bring it back: the
+    // wake flag must not stay set across the outage.
+    let before = ServerStats::get(&cluster.stats().forwarded);
+    std::thread::scope(|s| {
+        let cluster = &cluster;
+        s.spawn(move || {
+            for f in 0..8 {
+                // The request forwarded at the crash fails; later ones
+                // are steered to a live node.
+                let _ = cluster.request(0, FileId(f), T);
+            }
+        });
+        let start = Instant::now();
+        while ServerStats::get(&cluster.stats().forwarded) == before {
+            assert!(start.elapsed() < T, "node 0 forwarded nothing");
+            std::thread::yield_now();
+        }
+        cluster.crash_node(0);
+    });
+    cluster.recover_node(0);
+    let recovered = median_forwarded_latency(&cluster, 0);
+    assert!(
+        recovered < bound,
+        "forwarded median {recovered:?} after crash and recovery"
+    );
+    assert_eq!(ServerStats::get(&cluster.stats().retries), 0);
+    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
 }
 
 #[test]

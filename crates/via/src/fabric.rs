@@ -504,6 +504,28 @@ impl Nic {
         Ok(())
     }
 
+    /// Installs `hook` on a registered region, replacing any earlier one.
+    /// The NIC engine that performs a remote (RDMA) write into the region
+    /// runs the hook on its own thread once the bytes have landed, so the
+    /// region's owner can wake on arrival instead of polling on a timer.
+    /// A failed, forbidden, out-of-bounds or dropped write does not run
+    /// it, and neither does a local [`Nic::write_region`]. The hook runs
+    /// on the engine's per-message path: keep it short and non-blocking.
+    ///
+    /// # Errors
+    ///
+    /// [`ViaError::UnknownRegion`] for a deregistered handle.
+    pub fn on_remote_write(
+        &self,
+        h: MemHandle,
+        hook: Arc<dyn Fn() + Send + Sync>,
+    ) -> Result<(), ViaError> {
+        let mut regions = self.shared.regions.write();
+        let r = regions.get_mut(&h.0).ok_or(ViaError::UnknownRegion)?;
+        r.on_remote_write = Some(hook);
+        Ok(())
+    }
+
     /// Configures fault injection for this NIC's outgoing messages.
     pub fn set_fault(&self, cfg: FaultConfig) {
         *self.shared.fault.lock() = (cfg, StdRng::seed_from_u64(cfg.seed));
@@ -1108,12 +1130,15 @@ fn process_rdma(nic: &Arc<NicShared>, vi: u64, desc: Descriptor, remote: RemoteB
         return;
     }
     let status = match peer_nic.region(remote.region) {
+        Ok(dst) if !dst.allow_remote_write => Err(ViaError::RemoteWriteForbidden),
         Ok(dst) => {
-            if !dst.allow_remote_write {
-                Err(ViaError::RemoteWriteForbidden)
-            } else {
-                copy_between(&src, desc.offset, &dst, remote.offset, desc.len)
+            let copied = copy_between(&src, desc.offset, &dst, remote.offset, desc.len);
+            // The bytes have landed: wake the region's owner before the
+            // sender's completion is delivered.
+            if let (Ok(()), Some(hook)) = (&copied, &dst.on_remote_write) {
+                hook();
             }
+            copied
         }
         Err(e) => Err(e),
     };
@@ -1321,6 +1346,110 @@ mod tests {
         .unwrap();
         let c = va.wait_send_completion(T).unwrap();
         assert_eq!(c.status, Err(ViaError::OutOfBounds));
+    }
+
+    /// A hook that counts its runs.
+    fn counting_hook() -> (Arc<AtomicU64>, Arc<dyn Fn() + Send + Sync>) {
+        let runs = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&runs);
+        // ordering: Relaxed — a test counter, read after the write's
+        // completion, which the engine delivers after the hook returns.
+        let hook = Arc::new(move || {
+            r.fetch_add(1, Ordering::Relaxed);
+        });
+        (runs, hook)
+    }
+
+    fn rdma(vi: &Vi, src: MemHandle, len: usize, dst: MemHandle) -> Completion {
+        vi.rdma_write(
+            Descriptor::new(src, 0, len),
+            RemoteBuffer {
+                region: dst,
+                offset: 0,
+            },
+        )
+        .unwrap();
+        vi.wait_send_completion(T).unwrap()
+    }
+
+    #[test]
+    fn remote_write_hook_runs_once_per_landed_write() {
+        let (a, b, va, _vb) = pair(Reliability::ReliableDelivery);
+        let b = Arc::new(b);
+        let ma = a.register(b"hooked".to_vec(), false).unwrap();
+        let watched = b.register(vec![0; 8], true).unwrap();
+        let other = b.register(vec![0; 8], true).unwrap();
+        // The hook reads the watched region itself: the landed bytes must
+        // already be there when it runs.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (nic, log) = (Arc::downgrade(&b), Arc::clone(&seen));
+        b.on_remote_write(
+            watched,
+            Arc::new(move || {
+                if let Some(nic) = nic.upgrade() {
+                    log.lock().push(nic.read_region(watched, 0, 6).unwrap());
+                }
+            }),
+        )
+        .unwrap();
+        for _ in 0..3 {
+            assert!(rdma(&va, ma, 6, watched).is_ok());
+        }
+        assert_eq!(*seen.lock(), vec![b"hooked".to_vec(); 3]);
+        // A write into another region, and a local write into the watched
+        // one, leave the hook alone.
+        assert!(rdma(&va, ma, 6, other).is_ok());
+        b.write_region(watched, 0, b"local!").unwrap();
+        assert_eq!(seen.lock().len(), 3);
+    }
+
+    #[test]
+    fn remote_write_hook_skips_writes_that_do_not_land() {
+        let (a, b, va, _vb) = pair(Reliability::UnreliableDelivery);
+        let ma = a.register(vec![7; 16], false).unwrap();
+        let watched = b.register(vec![0; 8], true).unwrap();
+        let forbidden = b.register(vec![0; 8], false).unwrap();
+        let (runs, hook) = counting_hook();
+        b.on_remote_write(watched, Arc::clone(&hook)).unwrap();
+        b.on_remote_write(forbidden, hook).unwrap();
+        assert_eq!(
+            rdma(&va, ma, 8, forbidden).status,
+            Err(ViaError::RemoteWriteForbidden)
+        );
+        assert_eq!(
+            rdma(&va, ma, 16, watched).status,
+            Err(ViaError::OutOfBounds)
+        );
+        let fault = |drop_probability, fail_probability| FaultConfig {
+            drop_probability,
+            fail_probability,
+            seed: 1,
+        };
+        a.set_fault(fault(0.0, 1.0));
+        assert_eq!(
+            rdma(&va, ma, 8, watched).status,
+            Err(ViaError::NotConnected)
+        );
+        // A dropped write completes successfully but never lands.
+        a.set_fault(fault(1.0, 0.0));
+        assert!(rdma(&va, ma, 8, watched).is_ok());
+        assert_eq!(b.read_region(watched, 0, 8).unwrap(), vec![0; 8]);
+        // ordering: Relaxed — see `counting_hook`.
+        assert_eq!(runs.load(Ordering::Relaxed), 0);
+        a.set_fault(fault(0.0, 0.0));
+        assert!(rdma(&va, ma, 8, watched).is_ok());
+        // ordering: Relaxed — see `counting_hook`.
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn remote_write_hook_needs_a_registered_region() {
+        let (_a, b, _va, _vb) = pair(Reliability::ReliableDelivery);
+        let (_, hook) = counting_hook();
+        assert_eq!(
+            b.on_remote_write(MemHandle(999), hook),
+            Err(ViaError::UnknownRegion)
+        );
     }
 
     #[test]

@@ -22,12 +22,16 @@ impl std::fmt::Display for MemHandle {
     }
 }
 
-/// A registered region: shared bytes plus the remote-write permission.
-#[derive(Debug, Clone)]
+/// A registered region: shared bytes, the remote-write permission, and
+/// the optional hook run after each remote write into it.
+#[derive(Clone)]
 pub(crate) struct Region {
     pub bytes: Arc<RwLock<Vec<u8>>>,
     /// Whether remote NICs may RDMA-write into this region.
     pub allow_remote_write: bool,
+    /// Run after each remote write lands (see
+    /// [`crate::Nic::on_remote_write`]).
+    pub on_remote_write: Option<Arc<dyn Fn() + Send + Sync>>,
 }
 
 impl Region {
@@ -35,6 +39,7 @@ impl Region {
         Region {
             bytes: Arc::new(RwLock::new(data)),
             allow_remote_write,
+            on_remote_write: None,
         }
     }
 
