@@ -1,4 +1,4 @@
-//! Flow fixture: hot-path checks must follow the call graph.
+//! Flow fixture: hot-path checks cover the roots and follow the call graph.
 
 #[press::hot_path]
 pub fn root() {
@@ -22,4 +22,20 @@ fn leaf_waived(x: Option<u32>) -> u32 {
 
 pub fn never_called(x: Option<u32>) -> u32 {
     x.unwrap()
+}
+
+pub struct Batch {
+    staged: Vec<u32>,
+}
+
+impl Batch {
+    #[press::hot_path]
+    pub fn flush(&mut self, x: Option<u32>) {
+        let v = x.unwrap();
+        self.stage(v);
+    }
+
+    fn stage(&mut self, v: u32) {
+        self.staged.push(v);
+    }
 }

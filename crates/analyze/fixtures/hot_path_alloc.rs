@@ -38,6 +38,6 @@ fn untagged() -> Vec<u8> {
 
 #[press::hot_path]
 fn waived() -> usize {
-    // press::allow(hot-path-alloc): cold error reporting, measured off-path
+    // press::allow(hot-path-transitive): cold error reporting, measured off-path
     format!("boom").len()
 }

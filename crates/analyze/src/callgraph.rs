@@ -642,7 +642,7 @@ fn resolve(
             continue;
         }
         let rank = u8::from(p.line.is_some()) * 2 + u8::from(p.caller.is_some());
-        if pick.map_or(true, |(_, best)| rank > best) {
+        if pick.is_none_or(|(_, best)| rank > best) {
             pick = Some((i, rank));
         }
     }
@@ -803,7 +803,7 @@ fn go(items: Vec<u8>) { let it = items.iter(); it.clone().count(); }
 ";
         let (ws, cg) = graph(src);
         // `.count()` has an unknown receiver; no workspace candidate.
-        assert!(cg.edges.get(&2).is_none() || !edge(&ws, &cg, "go", "push"));
+        assert!(!cg.edges.contains_key(&2) || !edge(&ws, &cg, "go", "push"));
         assert!(cg.ambiguities.is_empty());
     }
 

@@ -1,10 +1,10 @@
 //! The flow-aware rule families, run over the [`crate::ir`] workspace
 //! and the [`crate::callgraph`] resolution:
 //!
-//! - **hot-path-transitive** — every function reachable from a
-//!   `#[press::hot_path]` root inherits the no-unwrap / no-alloc /
-//!   bounded-queue discipline; the diagnostic prints the call chain
-//!   from the root.
+//! - **hot-path-transitive** — every `#[press::hot_path]` root and
+//!   every function reachable from one inherits the no-unwrap /
+//!   no-alloc (Vec growth included) / bounded-queue discipline; the
+//!   diagnostic prints the call chain from the root.
 //! - **blocking-in-hot-path** — `thread::sleep`, channel `recv`,
 //!   `join`, spin-`yield`s, and blocking `lock()`/RwLock acquisition
 //!   reachable from a fast-path root (roots included).
@@ -22,7 +22,10 @@
 
 use crate::callgraph::{CallGraph, Recv, Resolution, Site};
 use crate::ir::{FileIr, Workspace};
-use crate::rules::{Finding, CAPACITY_GUARD_TOKENS, HOT_ALLOC_PATTERNS, QUEUE_PUSH_PATTERNS};
+use crate::rules::{
+    collect_typed_names, trailing_ident, Finding, CAPACITY_GUARD_TOKENS, HOT_ALLOC_PATTERNS,
+    QUEUE_PUSH_PATTERNS,
+};
 use crate::scanner::find_token;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -136,50 +139,69 @@ fn own_lines<'a>(
 }
 
 fn hot_transitive(ws: &Workspace, reach: &BTreeMap<usize, Vec<String>>, out: &mut Vec<Finding>) {
+    let mut vec_names: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
     for (&id, chain) in reach {
         let f = &ws.functions[id];
-        // Roots themselves are covered by the line-local hot-path rules;
-        // the transitive rule exists for the untagged functions below.
-        if f.attrs.hot_path || f.in_test {
+        if f.in_test {
             continue;
         }
-        let path = ws.files[f.file].path.clone();
-        let root = &chain[0];
+        let path = &ws.files[f.file].path;
+        let vecs = vec_names
+            .entry(f.file)
+            .or_insert_with(|| collect_typed_names(&ws.files[f.file].lines, &["Vec", "VecDeque"]));
+        let site = if chain.len() == 1 {
+            format!("in hot-path root `{}`", f.qual)
+        } else {
+            format!(
+                "in `{}`, reachable from hot-path root `{}`",
+                f.qual, chain[0]
+            )
+        };
+        let mut push = |line: usize, message: String| {
+            out.push(Finding {
+                path: path.clone(),
+                line,
+                rule: "hot-path-transitive",
+                chain: chain.clone(),
+                message,
+            })
+        };
         let body: Vec<&crate::scanner::Line> = own_lines(ws, id).collect();
         for (pos, line) in body.iter().enumerate() {
             let code = line.code.as_str();
             for pat in [".unwrap()", ".expect("] {
                 if code.contains(pat) {
-                    out.push(Finding {
-                        path: path.clone(),
-                        line: line.number,
-                        rule: "hot-path-transitive",
-                        chain: chain.clone(),
-                        message: format!(
-                            "`{}` in `{}`, reachable from hot-path root `{}` — a panic \
-                             here takes the fast path down; handle the None/Err arm",
-                            pat.trim_end_matches('('),
-                            f.qual,
-                            root
+                    push(
+                        line.number,
+                        format!(
+                            "`{}` {site} — a panic here takes the fast path down; handle \
+                             the None/Err arm",
+                            pat.trim_end_matches('(')
                         ),
-                    });
+                    );
                 }
             }
             for pat in HOT_ALLOC_PATTERNS {
                 if code.contains(pat) {
-                    out.push(Finding {
-                        path: path.clone(),
-                        line: line.number,
-                        rule: "hot-path-transitive",
-                        chain: chain.clone(),
-                        message: format!(
-                            "`{}` heap-allocates in `{}`, reachable from hot-path root \
-                             `{}` — the fast path must not allocate, even transitively",
-                            pat.trim_end_matches('('),
-                            f.qual,
-                            root
+                    push(
+                        line.number,
+                        format!(
+                            "`{}` heap-allocates {site} — the fast path must draw from the \
+                             slab pool or fixed-capacity structures",
+                            pat.trim_end_matches('(')
                         ),
-                    });
+                    );
+                }
+            }
+            for (at, _) in code.match_indices(".push(") {
+                if let Some(name) = trailing_ident(&code[..at]).filter(|n| vecs.contains(*n)) {
+                    push(
+                        line.number,
+                        format!(
+                            "`{name}.push` can grow a Vec {site} — reserve outside the hot \
+                             path or use a fixed-size ring"
+                        ),
+                    );
                 }
             }
             for pat in QUEUE_PUSH_PATTERNS {
@@ -199,19 +221,14 @@ fn hot_transitive(ws: &Workspace, reach: &BTreeMap<usize, Vec<String>>, out: &mu
                     found = guarded(prev);
                 }
                 if !found {
-                    out.push(Finding {
-                        path: path.clone(),
-                        line: line.number,
-                        rule: "hot-path-transitive",
-                        chain: chain.clone(),
-                        message: format!(
-                            "`{}` with no capacity check nearby in `{}`, reachable from \
-                             hot-path root `{}` — bound the queue or shed at the bound",
-                            pat.trim_start_matches('.').trim_end_matches('('),
-                            f.qual,
-                            root
+                    push(
+                        line.number,
+                        format!(
+                            "`{}` with no capacity check nearby {site} — bound the queue or \
+                             shed at the bound",
+                            pat.trim_start_matches('.').trim_end_matches('(')
                         ),
-                    });
+                    );
                 }
             }
         }

@@ -95,7 +95,7 @@ pub struct FileIr {
     /// Indices (into `tokens`) of significant tokens: everything except
     /// whitespace and comments.
     pub sig: Vec<usize>,
-    /// Classified lines (shared with the legacy line rules).
+    /// Classified lines (shared with the line-local rules).
     pub lines: Vec<Line>,
 }
 

@@ -13,10 +13,12 @@
 //!    is itself reported as stale.
 //! 2. **Flow-aware lints** ([`flow_rules`]): a lexer → item parser →
 //!    call-graph pipeline ([`lexer`], [`ir`], [`callgraph`]) feeding
-//!    four transitive rule families — hot-path-transitive, lock-order,
-//!    blocking-in-hot-path, and determinism-taint — with the offending
-//!    call chain printed in each diagnostic. Ambiguous call edges are
-//!    pinned in `crates/analyze/callgraph.toml`.
+//!    four transitive rule families — hot-path-transitive (no unwrap,
+//!    allocation or unbounded queue in a `#[press::hot_path]` root or
+//!    anything it reaches), lock-order, blocking-in-hot-path, and
+//!    determinism-taint — with the offending call chain printed in each
+//!    diagnostic. Ambiguous call edges are pinned in
+//!    `crates/analyze/callgraph.toml`.
 //! 3. **Mini-loom interleaving models** ([`models`]): the lock-free
 //!    membership bitmask, the ResetPeer credit repair, and the
 //!    batch-pool claim protocol re-expressed over the vendored
@@ -71,43 +73,21 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-/// Pipeline switches.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LintOptions {
-    /// Run only the 10 line-local rules with the original waiver and
-    /// manifest semantics — for golden-diffing against pre-IR reports.
-    pub legacy: bool,
-}
-
-/// Lints a set of files against `manifest` with the full pipeline and
-/// no call-graph pins.
-pub fn lint_files(files: &[SourceFile], manifest: &Manifest) -> Report {
-    lint_files_opts(files, manifest, &Pins::empty(), LintOptions::default())
-}
-
-/// Lints a set of files: line-local rules, and — unless
-/// `opts.legacy` — the flow rules over the call graph.
+/// Lints a set of files against `manifest`: the line-local rules, and
+/// the flow rules over the call graph resolved with `pins`.
 ///
 /// Output is sorted, so the report is identical whatever order the files
 /// arrive in.
-pub fn lint_files_opts(
-    files: &[SourceFile],
-    manifest: &Manifest,
-    pins: &Pins,
-    opts: LintOptions,
-) -> Report {
+pub fn lint_files(files: &[SourceFile], manifest: &Manifest, pins: &Pins) -> Report {
     let ws = Workspace::build(files);
     let mut raw: Vec<Finding> = Vec::new();
     for file in &ws.files {
         raw.extend(rules::check_file(&file.path, &file.lines, manifest));
     }
-    let mut warnings = Vec::new();
-    if !opts.legacy {
-        let cg = CallGraph::build(&ws, pins);
-        raw.extend(flow_rules::check_workspace(&ws, &cg));
-        warnings.extend(cg.ambiguities.iter().cloned());
-        warnings.extend(cg.stale_pins.iter().cloned());
-    }
+    let cg = CallGraph::build(&ws, pins);
+    raw.extend(flow_rules::check_workspace(&ws, &cg));
+    let mut warnings = cg.ambiguities.clone();
+    warnings.extend(cg.stale_pins.iter().cloned());
 
     let mut violations = Vec::new();
     let mut waived = Vec::new();
@@ -150,33 +130,31 @@ pub fn lint_files_opts(
 
     // Stale-waiver check: a press::allow whose rule never fired on its
     // site is itself reported (mirrors the manifest staleness).
-    if !opts.legacy {
-        for (file_idx, file) in ws.files.iter().enumerate() {
-            for (line_idx, line) in file.lines.iter().enumerate() {
-                if line.in_test || !line.comment.contains("press::allow(") {
+    for (file_idx, file) in ws.files.iter().enumerate() {
+        for (line_idx, line) in file.lines.iter().enumerate() {
+            if line.in_test || !line.comment.contains("press::allow(") {
+                continue;
+            }
+            if !used_waivers.contains(&(file_idx, line_idx)) {
+                let rule = line
+                    .comment
+                    .split("press::allow(")
+                    .nth(1)
+                    .and_then(|r| r.split(')').next())
+                    .unwrap_or("?");
+                // Prose that merely *mentions* the waiver syntax
+                // (docs, this file) names no real rule; only known
+                // rule names are live waivers.
+                if !rules::RULE_NAMES.contains(&rule)
+                    && !flow_rules::FLOW_RULE_NAMES.contains(&rule)
+                {
                     continue;
                 }
-                if !used_waivers.contains(&(file_idx, line_idx)) {
-                    let rule = line
-                        .comment
-                        .split("press::allow(")
-                        .nth(1)
-                        .and_then(|r| r.split(')').next())
-                        .unwrap_or("?");
-                    // Prose that merely *mentions* the waiver syntax
-                    // (docs, this file) names no real rule; only known
-                    // rule names are live waivers.
-                    if !rules::RULE_NAMES.contains(&rule)
-                        && !flow_rules::FLOW_RULE_NAMES.contains(&rule)
-                    {
-                        continue;
-                    }
-                    warnings.push(format!(
-                        "stale waiver: press::allow({}) at {}:{} suppresses nothing — \
-                         the rule no longer fires there; delete the waiver",
-                        rule, file.path, line.number
-                    ));
-                }
+                warnings.push(format!(
+                    "stale waiver: press::allow({}) at {}:{} suppresses nothing — \
+                     the rule no longer fires there; delete the waiver",
+                    rule, file.path, line.number
+                ));
             }
         }
     }

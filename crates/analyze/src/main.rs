@@ -6,7 +6,6 @@
 //! cargo run -p press-analyze -- --deny-warnings
 //! cargo run -p press-analyze -- --json        # machine-readable report
 //! cargo run -p press-analyze -- --graph       # call graph as DOT
-//! cargo run -p press-analyze -- --legacy      # 10 line-local rules only
 //! cargo run -p press-analyze -- --list-rules
 //! cargo run -p press-analyze -- --root /path/to/workspace
 //! ```
@@ -21,8 +20,7 @@ use std::process::ExitCode;
 use press_analyze::flow_rules::FLOW_RULE_NAMES;
 use press_analyze::rules::{describe, RULE_NAMES};
 use press_analyze::{
-    build_graph, collect_workspace, lint_files_opts, load_manifest, load_pins, render, render_json,
-    LintOptions,
+    build_graph, collect_workspace, lint_files, load_manifest, load_pins, render, render_json,
 };
 
 fn main() -> ExitCode {
@@ -30,14 +28,12 @@ fn main() -> ExitCode {
     let mut deny_warnings = false;
     let mut json = false;
     let mut graph = false;
-    let mut legacy = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny-warnings" | "--deny" => deny_warnings = true,
             "--json" => json = true,
             "--graph" => graph = true,
-            "--legacy" => legacy = true,
             "--list-rules" => {
                 for rule in RULE_NAMES.iter().chain(FLOW_RULE_NAMES.iter()) {
                     println!("press::{rule:<20} {}", describe(rule));
@@ -55,7 +51,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "press-analyze [--root PATH] [--deny-warnings|--deny] [--json] \
-                     [--graph] [--legacy] [--list-rules]\n\
+                     [--graph] [--list-rules]\n\
                      lints the workspace against the project invariants"
                 );
                 return ExitCode::SUCCESS;
@@ -103,7 +99,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let report = lint_files_opts(&files, &manifest, &pins, LintOptions { legacy });
+    let report = lint_files(&files, &manifest, &pins);
     if json {
         let code =
             if !report.violations.is_empty() || (deny_warnings && !report.warnings.is_empty()) {

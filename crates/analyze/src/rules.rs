@@ -15,13 +15,11 @@ use crate::scanner::{find_token, is_ident_char, Line};
 use std::collections::BTreeSet;
 
 /// Names of every rule, in reporting order.
-pub const RULE_NAMES: [&str; 10] = [
+pub const RULE_NAMES: [&str; 8] = [
     "wall-clock",
     "os-random",
     "hash-iter",
     "hot-unwrap",
-    "hot-path-alloc",
-    "unbounded-queue",
     "safety-comment",
     "atomic-ordering",
     "raw-eprintln",
@@ -35,14 +33,6 @@ pub fn describe(rule: &str) -> &'static str {
         "os-random" => "no OS entropy (thread_rng/OsRng/from_entropy) in deterministic crates",
         "hash-iter" => "no iteration over HashMap/HashSet where order can leak into results",
         "hot-unwrap" => "no unwrap/expect in the server node hot loops (test code exempt)",
-        "hot-path-alloc" => {
-            "no heap allocation (Box::new, vec!, to_vec, clone, Vec growth) inside \
-             `#[press::hot_path]`-tagged functions — the V6 fast path must not allocate"
-        }
-        "unbounded-queue" => {
-            "no push_back/push_front without a nearby capacity check inside \
-             `#[press::hot_path]` scopes — unbounded queues turn overload into latency"
-        }
         "safety-comment" => "every unsafe block needs a `// SAFETY:` comment",
         "atomic-ordering" => {
             "every atomic access needs a `// ordering:` justification or an atomics-manifest entry"
@@ -56,8 +46,9 @@ pub fn describe(rule: &str) -> &'static str {
              `span_in(x` close in the same scope — an unclosed open skews attribution"
         }
         "hot-path-transitive" => {
-            "functions reachable from a `#[press::hot_path]` root inherit the no-unwrap/\
-             no-alloc/bounded-queue checks; the diagnostic prints the call chain"
+            "`#[press::hot_path]` roots and every function they reach get the no-unwrap/\
+             no-alloc (Vec growth included)/bounded-queue checks; the diagnostic prints \
+             the call chain"
         }
         "lock-order" => {
             "per-function lock-acquisition sequences composed through the call graph \
@@ -150,9 +141,7 @@ fn span_balance_scope(path: &str) -> bool {
 /// (waivers not yet applied).
 pub fn check_file(path: &str, lines: &[Line], manifest: &Manifest) -> Vec<Finding> {
     let mut out = Vec::new();
-    let hash_names = collect_hash_names(lines);
-    let vec_names = collect_vec_names(lines);
-    let hot = hot_path_mask(lines);
+    let hash_names = collect_typed_names(lines, &["HashMap", "HashSet"]);
 
     for (idx, line) in lines.iter().enumerate() {
         if line.in_test {
@@ -212,11 +201,6 @@ pub fn check_file(path: &str, lines: &[Line], manifest: &Manifest) -> Vec<Findin
                     });
                 }
             }
-        }
-
-        if hot[idx] {
-            check_hot_alloc(path, line, &vec_names, &mut out);
-            check_unbounded_queue(path, lines, idx, &mut out);
         }
 
         if let Some(pos) = find_token(code, "unsafe") {
@@ -279,7 +263,8 @@ pub fn check_file(path: &str, lines: &[Line], manifest: &Manifest) -> Vec<Findin
     out
 }
 
-/// Allocating constructs flagged inside `#[press::hot_path]` bodies.
+/// Allocating constructs flagged in hot-path roots and everything they
+/// reach.
 pub(crate) const HOT_ALLOC_PATTERNS: [&str; 12] = [
     "Box::new(",
     "vec!",
@@ -295,49 +280,6 @@ pub(crate) const HOT_ALLOC_PATTERNS: [&str; 12] = [
     ".clone(",
 ];
 
-/// Flags heap allocation on a line known to sit inside a hot-path
-/// function: direct allocating calls, plus `.push(` on names declared
-/// as growable vectors in this file.
-fn check_hot_alloc(path: &str, line: &Line, vec_names: &BTreeSet<String>, out: &mut Vec<Finding>) {
-    let code = line.code.as_str();
-    for pat in HOT_ALLOC_PATTERNS {
-        if code.contains(pat) {
-            out.push(Finding {
-                path: path.into(),
-                line: line.number,
-                rule: "hot-path-alloc",
-                chain: Vec::new(),
-                message: format!(
-                    "`{}` heap-allocates inside a `#[press::hot_path]` function — \
-                     the fast path must draw from the slab pool or fixed-capacity \
-                     structures",
-                    pat.trim_end_matches('(')
-                ),
-            });
-        }
-    }
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(".push(") {
-        let pos = from + rel;
-        from = pos + ".push(".len();
-        if let Some(name) = trailing_ident(&code[..pos]) {
-            if vec_names.contains(name) {
-                out.push(Finding {
-                    path: path.into(),
-                    line: line.number,
-                    rule: "hot-path-alloc",
-                    chain: Vec::new(),
-                    message: format!(
-                        "`{name}.push` can grow a Vec inside a `#[press::hot_path]` \
-                         function — reserve outside the hot path or use a fixed-size \
-                         ring"
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// Queue-growth calls checked for a nearby bound.
 pub(crate) const QUEUE_PUSH_PATTERNS: [&str; 2] = [".push_back(", ".push_front("];
 
@@ -352,45 +294,6 @@ pub(crate) const CAPACITY_GUARD_TOKENS: [&str; 6] = [
     ".pop_front(",
     ".pop_back(",
 ];
-
-/// Flags `push_back`/`push_front` on a line inside a hot-path function
-/// unless a capacity guard appears on the line itself or within the few
-/// code lines above it. An unchecked queue in the fast path is how
-/// overload becomes unbounded latency instead of explicit shedding.
-fn check_unbounded_queue(path: &str, lines: &[Line], idx: usize, out: &mut Vec<Finding>) {
-    let code = lines[idx].code.as_str();
-    for pat in QUEUE_PUSH_PATTERNS {
-        if !code.contains(pat) {
-            continue;
-        }
-        let guarded = |s: &str| CAPACITY_GUARD_TOKENS.iter().any(|t| s.contains(t));
-        let mut found = guarded(code);
-        let (mut seen, mut i) = (0, idx);
-        while !found && seen < 4 && i > 0 {
-            i -= 1;
-            let prev = lines[i].code.as_str();
-            if prev.trim().is_empty() {
-                continue;
-            }
-            seen += 1;
-            found = guarded(prev);
-        }
-        if !found {
-            out.push(Finding {
-                path: path.into(),
-                line: lines[idx].number,
-                rule: "unbounded-queue",
-                chain: Vec::new(),
-                message: format!(
-                    "`{}` inside a `#[press::hot_path]` scope with no capacity check \
-                     nearby — bound the queue and shed at the bound, or an overload \
-                     turns into unbounded backlog",
-                    pat.trim_start_matches('.').trim_end_matches('(')
-                ),
-            });
-        }
-    }
-}
 
 /// Flags a trace span opened but never closed: a start timestamp bound
 /// with `let <name> = <expr>.now_ns();` (the span-open idiom) that no
@@ -441,78 +344,14 @@ fn check_span_balance(path: &str, lines: &[Line], idx: usize, out: &mut Vec<Find
     });
 }
 
-/// Marks lines inside `#[press::hot_path]`- (or `#[hot_path]`-) tagged
-/// function items, signature included. Brace counting is reliable here
-/// because the scanner blanks string and char literal contents.
-fn hot_path_mask(lines: &[Line]) -> Vec<bool> {
-    /// Tracker for the tagged-function extent.
-    enum St {
-        /// Not in a tagged item.
-        Idle,
-        /// Attribute seen; waiting for the `fn` line.
-        Armed,
-        /// Inside a multi-line signature; waiting for the body brace.
-        Sig,
-        /// Inside the body, `usize` braces deep.
-        Body(usize),
-    }
-    let mut mask = vec![false; lines.len()];
-    let mut st = St::Idle;
-    for (i, line) in lines.iter().enumerate() {
-        let code = line.code.as_str();
-        let opens = code.matches('{').count();
-        let closes = code.matches('}').count();
-        st = match st {
-            St::Idle => {
-                if code.contains("#[press::hot_path]") || code.contains("#[hot_path]") {
-                    St::Armed
-                } else {
-                    St::Idle
-                }
-            }
-            St::Armed => {
-                if find_token(code, "fn").is_some() {
-                    mask[i] = true;
-                    match (opens > 0, opens.saturating_sub(closes)) {
-                        (true, 0) => St::Idle, // single-line fn
-                        (true, depth) => St::Body(depth),
-                        (false, _) => St::Sig,
-                    }
-                } else if code.trim().is_empty() || code.trim_start().starts_with("#[") {
-                    St::Armed // other attributes may sit between tag and fn
-                } else {
-                    St::Idle
-                }
-            }
-            St::Sig => {
-                mask[i] = true;
-                match (opens > 0, opens.saturating_sub(closes)) {
-                    (false, _) => St::Sig,
-                    (true, 0) => St::Idle,
-                    (true, depth) => St::Body(depth),
-                }
-            }
-            St::Body(depth) => {
-                mask[i] = true;
-                let depth = depth + opens;
-                if depth <= closes {
-                    St::Idle
-                } else {
-                    St::Body(depth - closes)
-                }
-            }
-        };
-    }
-    mask
-}
-
-/// Names declared as growable vectors in this file (`name: Vec<..>`
-/// fields/params and `let [mut] name = Vec::...` bindings).
-fn collect_vec_names(lines: &[Line]) -> BTreeSet<String> {
+/// Names this file declares with one of the generic container `types`:
+/// `name: Type<..>` fields, params and typed lets, and
+/// `let [mut] name = Type::new/with_capacity/from(..)` bindings.
+pub(crate) fn collect_typed_names(lines: &[Line], types: &[&str]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for line in lines {
         let code = line.code.as_str();
-        for ty in ["Vec", "VecDeque"] {
+        for ty in types {
             let mut from = 0;
             while let Some(rel) = code[from..].find(&format!("{ty}<")) {
                 let pos = from + rel;
@@ -596,42 +435,6 @@ fn is_atomic_site(lines: &[Line], idx: usize) -> bool {
         }
     }
     false
-}
-
-/// Names declared as `HashMap`/`HashSet` in this file (let bindings,
-/// struct fields, parameters).
-fn collect_hash_names(lines: &[Line]) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for line in lines {
-        let code = line.code.as_str();
-        for ty in ["HashMap", "HashSet"] {
-            // `name: HashMap<...>` — fields, params, typed lets.
-            let mut from = 0;
-            while let Some(rel) = code[from..].find(ty) {
-                let pos = from + rel;
-                from = pos + ty.len();
-                let before = code[..pos].trim_end();
-                if let Some(stripped) = before.strip_suffix(':') {
-                    if let Some(name) = trailing_ident(stripped) {
-                        names.insert(name.to_string());
-                    }
-                }
-            }
-            // `let [mut] name = HashMap::new()` and friends.
-            for ctor in ["::new", "::with_capacity", "::from"] {
-                if code.contains(&format!("{ty}{ctor}")) {
-                    if let Some(pos) = find_token(code, "let") {
-                        let rest = code[pos + 3..].trim_start();
-                        let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-                        if let Some(name) = leading_ident(rest) {
-                            names.insert(name.to_string());
-                        }
-                    }
-                }
-            }
-        }
-    }
-    names
 }
 
 const ITER_METHODS: [&str; 9] = [
@@ -726,7 +529,7 @@ fn check_hash_iter(
 }
 
 /// The identifier ending at the end of `s` (after trimming), if any.
-fn trailing_ident(s: &str) -> Option<&str> {
+pub(crate) fn trailing_ident(s: &str) -> Option<&str> {
     let s = s.trim_end();
     let bytes = s.as_bytes();
     let mut start = s.len();

@@ -6,8 +6,7 @@ use std::path::PathBuf;
 
 use press_analyze::lexer::lex;
 use press_analyze::{
-    build_graph, collect_workspace, lint_files_opts, load_manifest, load_pins, render, render_json,
-    LintOptions,
+    build_graph, collect_workspace, lint_files, load_manifest, load_pins, render, render_json,
 };
 use proptest::prelude::*;
 
@@ -71,7 +70,7 @@ fn full_pipeline_is_byte_identical_across_runs() {
     let files = collect_workspace(&root).expect("walk");
 
     let run = || {
-        let report = lint_files_opts(&files, &manifest, &pins, LintOptions::default());
+        let report = lint_files(&files, &manifest, &pins);
         let (text, _) = render(&report, true);
         let json = render_json(&report);
         let (ws, cg) = build_graph(&files, &pins);

@@ -2,6 +2,7 @@
 //! fire at exactly the expected sites with the expected call chain, and
 //! `press::allow` waivers must suppress — and count — what they cover.
 
+use press_analyze::callgraph::Pins;
 use press_analyze::{lint_files, Manifest, SourceFile};
 
 /// Loads a fixture, assigning it the synthetic workspace path that
@@ -26,24 +27,43 @@ fn triples(report: &press_analyze::Report) -> Vec<(String, usize, &'static str)>
 #[test]
 fn hot_path_transitive_fires_with_chain_and_respects_waivers() {
     let f = fixture("flow_hot.rs", "crates/via/src/flow_hot.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
+    let hot = |line| {
+        (
+            "crates/via/src/flow_hot.rs".to_string(),
+            line,
+            "hot-path-transitive",
+        )
+    };
     assert_eq!(
         triples(&report),
-        vec![(
-            "crates/via/src/flow_hot.rs".into(),
-            14,
-            "hot-path-transitive"
-        )],
-        "only the reachable, unwaived unwrap fires; never_called is clean"
+        vec![hot(14), hot(34), hot(39)],
+        "the reachable unwaived unwrap, the unwrap in a tagged root outside \
+         node.rs, and Vec growth in a callee fire; never_called is clean"
     );
+    let chains: Vec<&[String]> = report.violations.iter().map(|v| &v.chain[..]).collect();
     assert_eq!(
-        report.violations[0].chain,
+        chains,
         vec![
-            "via::flow_hot::root".to_string(),
-            "via::flow_hot::step_one".to_string(),
-            "via::flow_hot::leaf_bad".to_string(),
+            &[
+                "via::flow_hot::root".to_string(),
+                "via::flow_hot::step_one".to_string(),
+                "via::flow_hot::leaf_bad".to_string(),
+            ][..],
+            &["via::flow_hot::Batch::flush".to_string()][..],
+            &[
+                "via::flow_hot::Batch::flush".to_string(),
+                "via::flow_hot::Batch::stage".to_string(),
+            ][..],
         ],
-        "the diagnostic carries the shortest chain from the hot root"
+        "each diagnostic carries the shortest chain from its hot root"
+    );
+    assert!(
+        report.violations[1]
+            .message
+            .contains("in hot-path root `via::flow_hot::Batch::flush`"),
+        "a root's own finding names it as the root: {}",
+        report.violations[1].message
     );
     let waived: Vec<(usize, &str)> = report.waived.iter().map(|w| (w.line, w.rule)).collect();
     assert_eq!(waived, vec![(20, "hot-path-transitive")]);
@@ -52,7 +72,7 @@ fn hot_path_transitive_fires_with_chain_and_respects_waivers() {
 #[test]
 fn blocking_in_hot_path_fires_transitively_and_respects_waivers() {
     let f = fixture("flow_blocking.rs", "crates/via/src/flow_block.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![(
@@ -76,7 +96,7 @@ fn blocking_in_hot_path_fires_transitively_and_respects_waivers() {
 #[test]
 fn lock_order_cycle_fires_once_per_pair() {
     let f = fixture("flow_lock.rs", "crates/via/src/flow_lock.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     let lock_findings: Vec<&press_analyze::rules::Finding> = report
         .violations
         .iter()
@@ -99,7 +119,7 @@ fn lock_order_cycle_fires_once_per_pair() {
 #[test]
 fn lock_order_waiver_suppresses_the_cycle() {
     let f = fixture("flow_lock_waived.rs", "crates/via/src/flow_lockw.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert!(
         !report.violations.iter().any(|v| v.rule == "lock-order"),
         "{:?}",
@@ -116,7 +136,7 @@ fn lock_order_waiver_suppresses_the_cycle() {
 fn determinism_taint_crosses_crates_and_respects_waivers() {
     let core = fixture("flow_taint_core.rs", "crates/core/src/flow_core.rs");
     let helper = fixture("flow_taint_helper.rs", "crates/telem/src/flow_helper.rs");
-    let report = lint_files(&[core, helper], &Manifest::empty());
+    let report = lint_files(&[core, helper], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![(
@@ -141,7 +161,7 @@ fn determinism_taint_crosses_crates_and_respects_waivers() {
 #[test]
 fn scanner_ignores_comments_strings_and_test_regions() {
     let f = fixture("scanner_edges.rs", "crates/sim/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![("crates/sim/src/fixture.rs".into(), 17, "wall-clock")],

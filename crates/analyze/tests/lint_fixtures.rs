@@ -2,6 +2,7 @@
 //! its violations at exactly the expected lines (and nowhere else), and
 //! waivers must suppress — and count — what they cover.
 
+use press_analyze::callgraph::Pins;
 use press_analyze::{lint_files, Manifest, SourceFile};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -28,7 +29,7 @@ fn triples(report: &press_analyze::Report) -> Vec<(String, usize, &'static str)>
 #[test]
 fn wall_clock_fixture_exact_diagnostics() {
     let f = fixture("wall_clock.rs", "crates/sim/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -41,7 +42,7 @@ fn wall_clock_fixture_exact_diagnostics() {
 #[test]
 fn wall_clock_rule_is_scoped_to_sim_paths() {
     let f = fixture("wall_clock.rs", "crates/server/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert!(
         report.violations.is_empty(),
         "live-server code may read the wall clock: {:?}",
@@ -52,7 +53,7 @@ fn wall_clock_rule_is_scoped_to_sim_paths() {
 #[test]
 fn os_random_fixture_exact_diagnostics() {
     let f = fixture("os_random.rs", "crates/core/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -65,7 +66,7 @@ fn os_random_fixture_exact_diagnostics() {
 #[test]
 fn hash_iter_fixture_exact_diagnostics() {
     let f = fixture("hash_iter.rs", "crates/net/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -80,7 +81,7 @@ fn hash_iter_fixture_exact_diagnostics() {
 #[test]
 fn hot_unwrap_fixture_exact_diagnostics_and_test_exemption() {
     let f = fixture("hot_unwrap.rs", "crates/server/src/node.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -94,24 +95,24 @@ fn hot_unwrap_fixture_exact_diagnostics_and_test_exemption() {
 #[test]
 fn hot_unwrap_rule_is_scoped_to_the_node_hot_loop() {
     let f = fixture("hot_unwrap.rs", "crates/server/src/cluster.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert!(report.violations.is_empty(), "{:?}", report.violations);
 }
 
 #[test]
 fn hot_path_alloc_fixture_exact_diagnostics() {
     let f = fixture("hot_path_alloc.rs", "crates/via/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
+    let hot = |line| {
+        (
+            "crates/via/src/fixture.rs".to_string(),
+            line,
+            "hot-path-transitive",
+        )
+    };
     assert_eq!(
         triples(&report),
-        vec![
-            ("crates/via/src/fixture.rs".into(), 5, "hot-path-alloc"),
-            ("crates/via/src/fixture.rs".into(), 6, "hot-path-alloc"),
-            ("crates/via/src/fixture.rs".into(), 7, "hot-path-alloc"),
-            ("crates/via/src/fixture.rs".into(), 8, "hot-path-alloc"),
-            ("crates/via/src/fixture.rs".into(), 19, "hot-path-alloc"),
-            ("crates/via/src/fixture.rs".into(), 31, "hot-path-alloc"),
-        ],
+        vec![hot(5), hot(6), hot(7), hot(8), hot(19), hot(31)],
         "untagged functions and the waived format! must not fire"
     );
     assert_eq!(report.waived.len(), 1, "the waived format! is counted");
@@ -122,38 +123,38 @@ fn hot_path_alloc_fixture_exact_diagnostics() {
 fn hot_path_alloc_fires_in_any_crate_the_tag_appears_in() {
     // The tag is the opt-in: the rule is not path-scoped.
     let f = fixture("hot_path_alloc.rs", "crates/server/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(report.violations.len(), 6, "{:?}", report.violations);
 }
 
 #[test]
 fn unbounded_queue_fixture_exact_diagnostics() {
     let f = fixture("unbounded_queue.rs", "crates/via/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
-            ("crates/via/src/fixture.rs".into(), 7, "unbounded-queue"),
-            ("crates/via/src/fixture.rs".into(), 8, "unbounded-queue"),
+            ("crates/via/src/fixture.rs".into(), 7, "hot-path-transitive"),
+            ("crates/via/src/fixture.rs".into(), 8, "hot-path-transitive"),
         ],
         "len-guarded, pop-rotated, untagged, and waived pushes must not fire"
     );
     let waived: Vec<(usize, &str)> = report.waived.iter().map(|w| (w.line, w.rule)).collect();
-    assert_eq!(waived, vec![(33, "unbounded-queue")]);
+    assert_eq!(waived, vec![(33, "hot-path-transitive")]);
 }
 
 #[test]
 fn unbounded_queue_fires_in_any_crate_the_tag_appears_in() {
-    // Like hot-path-alloc, the tag is the opt-in: not path-scoped.
+    // The tag is the opt-in: the rule is not path-scoped.
     let f = fixture("unbounded_queue.rs", "crates/server/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(report.violations.len(), 2, "{:?}", report.violations);
 }
 
 #[test]
 fn safety_fixture_exact_diagnostics() {
     let f = fixture("safety.rs", "crates/via/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![("crates/via/src/fixture.rs".into(), 5, "safety-comment")],
@@ -166,7 +167,7 @@ fn atomics_fixture_annotations_and_manifest() {
     let f = fixture("atomics.rs", "crates/via/src/fixture.rs");
     // Without a manifest: the bare load and the manifest-covered
     // fetch_sub both fire.
-    let report = lint_files(std::slice::from_ref(&f), &Manifest::empty());
+    let report = lint_files(std::slice::from_ref(&f), &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -185,7 +186,7 @@ why = "both halves: takes and republishes the slot"
 "#,
     )
     .expect("manifest parses");
-    let report = lint_files(&[f], &manifest);
+    let report = lint_files(&[f], &manifest, &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![("crates/via/src/fixture.rs".into(), 6, "atomic-ordering")]
@@ -196,7 +197,7 @@ why = "both halves: takes and republishes the slot"
 #[test]
 fn raw_eprintln_fixture_exact_diagnostics() {
     let f = fixture("raw_eprintln.rs", "crates/bench/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -212,7 +213,7 @@ fn raw_eprintln_fixture_exact_diagnostics() {
 #[test]
 fn raw_eprintln_rule_is_scoped_to_runtime_crates() {
     let f = fixture("raw_eprintln.rs", "crates/analyze/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert!(
         report.violations.is_empty(),
         "the linter may print freely: {:?}",
@@ -223,7 +224,7 @@ fn raw_eprintln_rule_is_scoped_to_runtime_crates() {
 #[test]
 fn span_balance_fixture_exact_diagnostics() {
     let f = fixture("span_balance.rs", "crates/core/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![
@@ -239,7 +240,7 @@ fn span_balance_fixture_exact_diagnostics() {
 #[test]
 fn span_balance_rule_exempts_the_telem_crate() {
     let f = fixture("span_balance.rs", "crates/telem/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert!(
         report.violations.is_empty(),
         "telem implements the span primitives and is out of scope: {:?}",
@@ -260,7 +261,7 @@ why = "this site no longer exists"
 "#,
     )
     .expect("manifest parses");
-    let report = lint_files(&[f], &manifest);
+    let report = lint_files(&[f], &manifest, &Pins::empty());
     assert_eq!(report.warnings.len(), 1);
     assert!(
         report.warnings[0].contains("stale"),
@@ -272,7 +273,7 @@ why = "this site no longer exists"
 #[test]
 fn waivers_suppress_and_are_counted() {
     let f = fixture("waivers.rs", "crates/sim/src/fixture.rs");
-    let report = lint_files(&[f], &Manifest::empty());
+    let report = lint_files(&[f], &Manifest::empty(), &Pins::empty());
     assert_eq!(
         triples(&report),
         vec![("crates/sim/src/fixture.rs".into(), 16, "wall-clock")],
@@ -297,7 +298,11 @@ fn every_violating_fixture_exits_nonzero() {
         ("raw_eprintln.rs", "crates/bench/src/fixture.rs"),
         ("span_balance.rs", "crates/core/src/fixture.rs"),
     ] {
-        let report = lint_files(&[fixture(name, as_path)], &Manifest::empty());
+        let report = lint_files(
+            &[fixture(name, as_path)],
+            &Manifest::empty(),
+            &Pins::empty(),
+        );
         let (rendered, code) = press_analyze::render(&report, false);
         assert_eq!(code, 1, "{name} must fail the lint:\n{rendered}");
     }
@@ -329,13 +334,13 @@ proptest! {
     #[test]
     // More keys than fixtures: zip must truncate keys, never fixtures.
     fn report_is_stable_under_file_ordering(keys in vec(0u64..1_000_000, 16)) {
-        let baseline = lint_files(&all_fixtures(), &Manifest::empty());
+        let baseline = lint_files(&all_fixtures(), &Manifest::empty(), &Pins::empty());
 
         let mut shuffled: Vec<(u64, SourceFile)> =
             keys.iter().copied().zip(all_fixtures()).collect();
         shuffled.sort_by_key(|(k, _)| *k);
         let files: Vec<SourceFile> = shuffled.into_iter().map(|(_, f)| f).collect();
-        let report = lint_files(&files, &Manifest::empty());
+        let report = lint_files(&files, &Manifest::empty(), &Pins::empty());
 
         prop_assert_eq!(&report.violations, &baseline.violations);
         prop_assert_eq!(&report.waived, &baseline.waived);

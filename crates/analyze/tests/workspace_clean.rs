@@ -4,9 +4,7 @@
 
 use std::path::PathBuf;
 
-use press_analyze::{
-    build_graph, collect_workspace, lint_files_opts, load_manifest, load_pins, LintOptions,
-};
+use press_analyze::{build_graph, collect_workspace, lint_files, load_manifest, load_pins};
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -30,7 +28,7 @@ fn workspace_at_head_is_clean() {
         "workspace walk looks wrong: only {} files",
         files.len()
     );
-    let report = lint_files_opts(&files, &manifest, &pins, LintOptions::default());
+    let report = lint_files(&files, &manifest, &pins);
     let (rendered, code) = press_analyze::render(&report, true);
     assert_eq!(code, 0, "press-analyze must pass at HEAD:\n{rendered}");
 }

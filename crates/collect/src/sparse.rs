@@ -66,7 +66,7 @@ mod tests {
         };
         assert_eq!(draw(9), draw(9));
         // Across many draws the sample must not fixate on a few peers.
-        let mut hit = vec![false; 64];
+        let mut hit = [false; 64];
         let mut rng = DetRng::new(11);
         for _ in 0..2_000 {
             for p in sample_peers(&mut rng, 0, u128::MAX >> (128 - 64), 64, 2) {

@@ -331,9 +331,9 @@ mod tests {
                 }
                 let t = TreeView::build(topo, origin, mask, 12);
                 let seen = coverage(&t, 12);
-                for i in 0..12usize {
+                for (i, &n) in seen.iter().enumerate() {
                     let want = u32::from(mask & (1 << i) != 0);
-                    assert_eq!(seen[i], want, "{topo:?} origin {origin} node {i}");
+                    assert_eq!(n, want, "{topo:?} origin {origin} node {i}");
                 }
             }
         }
@@ -349,7 +349,7 @@ mod tests {
         let t = TreeView::build(Topology::Binomial, 5, mask, 16);
         assert_eq!(t.members().len(), 15);
         assert!(t.children(5).is_empty(), "dead nodes relay nothing");
-        let mut in_edges = vec![0u32; 16];
+        let mut in_edges = [0u32; 16];
         for &node in t.members() {
             for c in t.children(node) {
                 in_edges[c as usize] += 1;

@@ -37,7 +37,7 @@ proptest! {
         let mut rng = DetRng::new(mask_seed);
         let mut mask = 0u128;
         for i in 0..nodes {
-            if rng.next_u64() % 4 != 0 {
+            if !rng.next_u64().is_multiple_of(4) {
                 mask |= 1 << i; // ~75% live
             }
         }
@@ -47,12 +47,12 @@ proptest! {
         for topo in TOPOLOGIES {
             let tree = TreeView::build(topo, origin, mask, nodes);
             let seen = visits(&tree, nodes, origin);
-            for i in 0..nodes as usize {
+            for (i, &n) in seen.iter().enumerate() {
                 let want = u32::from(mask & (1 << i) != 0);
                 prop_assert!(
-                    seen[i] == want,
+                    n == want,
                     "{:?} nodes={} origin={} node {}: visited {} times",
-                    topo, nodes, origin, i, seen[i]
+                    topo, nodes, origin, i, n
                 );
             }
         }
@@ -65,7 +65,7 @@ proptest! {
         let mut rng = DetRng::new(mask_seed);
         let mut mask = 0u128;
         for i in 0..nodes {
-            if rng.next_u64() % 3 != 0 {
+            if !rng.next_u64().is_multiple_of(3) {
                 mask |= 1 << i;
             }
         }
@@ -113,8 +113,8 @@ proptest! {
                 let b = TreeView::build(topo, origin, mask, nodes);
                 prop_assert_eq!(&a, &b);
                 let seen = visits(&a, nodes, origin);
-                for i in 0..nodes as usize {
-                    prop_assert_eq!(seen[i], u32::from(mask & (1 << i) != 0));
+                for (i, &n) in seen.iter().enumerate() {
+                    prop_assert_eq!(n, u32::from(mask & (1 << i) != 0));
                 }
             }
             let bin = TreeView::build(Topology::Binomial, origin, mask, nodes);
@@ -129,7 +129,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let mut mask = 0u128;
         for i in 0..nodes {
-            if rng.next_u64() % 2 == 0 {
+            if rng.next_u64().is_multiple_of(2) {
                 mask |= 1 << i;
             }
         }

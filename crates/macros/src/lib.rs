@@ -13,14 +13,16 @@
 //! # fn main() {}
 //! ```
 //!
-//! `press-analyze`'s `hot-path-alloc` rule scans for `#[press::hot_path]`
-//! (or `#[hot_path]`) and rejects heap allocation — `Box::new`, growing a
-//! `Vec`, cloning buffers — inside the tagged function body.
+//! `press-analyze`'s `hot-path-transitive` rule scans for
+//! `#[press::hot_path]` (or `#[hot_path]`) and rejects heap allocation —
+//! `Box::new`, growing a `Vec`, cloning buffers — inside the tagged
+//! function body and every function it calls.
 
 use proc_macro::TokenStream;
 
 /// Marks a function as part of the communication fast path: the
-/// `hot-path-alloc` lint forbids heap allocation inside its body.
+/// `hot-path-transitive` lint forbids heap allocation inside its body
+/// and in everything it calls.
 ///
 /// Expands to the item unchanged; the tag is purely for the analyzer.
 #[proc_macro_attribute]

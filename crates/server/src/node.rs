@@ -1246,19 +1246,28 @@ fn slab_post(
     Ok(())
 }
 
-/// Posts one message: the V6 fast path when enabled (falling back to the
+/// Transmits one message, fresh or released by returned credits: a file
+/// transfer in remote-write mode as an RDMA ring write ([`rmw_file`]);
+/// anything else on the V6 fast path when enabled (falling back to the
 /// classic per-peer slot regions if the pool is momentarily exhausted),
 /// the classic path otherwise.
 #[allow(clippy::too_many_arguments)]
-fn post_msg(
+fn transmit(
     ctx: &NodeCtx,
     bells: &mut [Option<Doorbell>],
     peer: usize,
     msg: &WireMsg,
     next_slot: &mut [usize],
     next_flow_slot: &mut [usize],
+    next_ring_seq: &mut [u64],
     buf: &mut [u8],
 ) {
+    if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData {
+        // RDMA bypasses the doorbell; keep per-VI ordering.
+        flush_bell(ctx, &mut bells[peer]);
+        rmw_file(ctx, peer, msg, next_slot, next_ring_seq, buf);
+        return;
+    }
     if let (Some(bell), Some(pool)) = (bells[peer].as_mut(), ctx.send_pool.as_deref()) {
         match slab_post(ctx, pool, bell, msg, buf) {
             Ok(()) => return,
@@ -1352,22 +1361,16 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                     }
                     credits[to] -= 1;
                 }
-                if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData
-                {
-                    // RDMA bypasses the doorbell; keep per-VI ordering.
-                    flush_bell(&ctx, &mut bells[to]);
-                    rmw_file(&ctx, to, &msg, &mut next_slot, &mut next_ring_seq, &mut buf);
-                } else {
-                    post_msg(
-                        &ctx,
-                        &mut bells,
-                        to,
-                        &msg,
-                        &mut next_slot,
-                        &mut next_flow_slot,
-                        &mut buf,
-                    );
-                }
+                transmit(
+                    &ctx,
+                    &mut bells,
+                    to,
+                    &msg,
+                    &mut next_slot,
+                    &mut next_flow_slot,
+                    &mut next_ring_seq,
+                    &mut buf,
+                );
             }
             SendJob::Credits { from, n } => {
                 // Clamp to the window: a stale credit return (consumed
@@ -1380,29 +1383,16 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                     match queued[from].pop_front() {
                         Some(msg) => {
                             credits[from] -= 1;
-                            if ctx.file_mode == FileTransferMode::RemoteWrite
-                                && msg.kind == WireKind::FileData
-                            {
-                                flush_bell(&ctx, &mut bells[from]);
-                                rmw_file(
-                                    &ctx,
-                                    from,
-                                    &msg,
-                                    &mut next_slot,
-                                    &mut next_ring_seq,
-                                    &mut buf,
-                                );
-                            } else {
-                                post_msg(
-                                    &ctx,
-                                    &mut bells,
-                                    from,
-                                    &msg,
-                                    &mut next_slot,
-                                    &mut next_flow_slot,
-                                    &mut buf,
-                                );
-                            }
+                            transmit(
+                                &ctx,
+                                &mut bells,
+                                from,
+                                &msg,
+                                &mut next_slot,
+                                &mut next_flow_slot,
+                                &mut next_ring_seq,
+                                &mut buf,
+                            );
                         }
                         None => break,
                     }
