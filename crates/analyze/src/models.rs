@@ -16,9 +16,9 @@
 //!   view, mirroring `crates/server/src/membership.rs`;
 //! * [`CrashRecoverModel`] — crash/recover races on one node: the epoch
 //!   must count exactly the transitions that changed the bitmask;
-//! * [`CreditRepairModel`] — the send-loop's credit accounting under
+//! * [`CreditRepairModel`] — the outbox's credit accounting under
 //!   `ResetPeer` repair racing a stale credit return, mirroring
-//!   `SendJob::Credits`/`SendJob::ResetPeer` in
+//!   `Outbox::credits`/`Outbox::reset_peer` in
 //!   `crates/server/src/node.rs`;
 //! * [`BatchPoolModel`] — `ExperimentRunner`'s shared-index job claiming
 //!   in `crates/core/src/batch.rs`: every slot filled exactly once;
@@ -239,13 +239,14 @@ impl Model for CrashRecoverModel {
     }
 }
 
-/// The send-loop's per-peer credit counter under repair.
+/// The outbox's per-peer credit counter under repair.
 ///
 /// Mirrors the arrival-order race in `crates/server/src/node.rs`: the
-/// send loop applies `SendJob` messages one at a time, so every
-/// interleaving of a stale `Credits` return (from traffic consumed
-/// before the peer crashed) with the `ResetPeer` repair and further
-/// consumption is a possible arrival order. The window invariant — at
+/// main loop applies its `ResetPeer` events and the credit returns its
+/// completion-queue drain decodes one at a time, so every interleaving
+/// of a stale credit return (from traffic consumed before the peer
+/// crashed) with the `ResetPeer` repair and further consumption is a
+/// possible arrival order. The window invariant — at
 /// most `window` in-flight, credits never exceed `window` — is exactly
 /// the bound that keeps send slots from being overwritten before the
 /// peer consumed them.

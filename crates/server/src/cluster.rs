@@ -16,8 +16,8 @@ use press_via::{
 
 use crate::membership::Membership;
 use crate::node::{
-    disk_loop, main_loop, recv_loop, ring_write_hook, send_loop, slot_bytes_for, FileTransferMode,
-    MainConfig, NodeCtx, NodeEvent, Reply, SendJob,
+    disk_loop, main_loop, slot_bytes_for, wake_hook, FileTransferMode, MainConfig, NodeCtx,
+    NodeEvent, Reply,
 };
 use crate::stats::ServerStats;
 use crate::wire::{HEADER_BYTES, RING_TRAILER_BYTES};
@@ -25,7 +25,7 @@ use crate::wire::{HEADER_BYTES, RING_TRAILER_BYTES};
 /// Configuration of a live cluster.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Number of node threads (each with send/recv/disk helpers).
+    /// Number of nodes (each a main thread plus a disk thread).
     pub nodes: usize,
     /// Per-peer credit window (outstanding credit-consuming messages).
     pub window: u32,
@@ -129,9 +129,12 @@ impl std::error::Error for LiveError {}
 
 /// A running PRESS cluster of real threads over the software VIA fabric.
 ///
-/// Each node runs the Figure 2 thread set: a main thread (decisions,
-/// caching, pending-request tracking), a send thread, a receive thread
-/// blocked on a completion queue, and a disk thread. Load information
+/// Each node runs two host threads: a main thread (decisions, caching,
+/// pending-request tracking) that also posts to its VIs and drains its
+/// completion queue, and a disk thread. Figure 2 of the paper adds send
+/// and receive helper threads; here the main thread polls instead, as
+/// the paper's V3+ main thread does, because each hand-off between host
+/// threads cost more than the message it carried. Load information
 /// travels via remote memory writes into per-node load tables; forwards,
 /// file transfers and caching broadcasts are credit-controlled regular
 /// messages.
@@ -169,7 +172,6 @@ pub struct LiveCluster {
 /// public API and the fault-plan monitor thread.
 struct ClusterCtl {
     mains: Vec<Sender<NodeEvent>>,
-    send_txs: Vec<Sender<SendJob>>,
     dead: Vec<Arc<AtomicBool>>,
     membership: Arc<Membership>,
 }
@@ -189,15 +191,15 @@ impl ClusterCtl {
     /// (and its own, drained while dead) are restored to full, stale
     /// queued traffic is discarded, and membership re-admits it.
     fn recover(&self, node: usize) {
-        for (peer, tx) in self.send_txs.iter().enumerate() {
+        for (peer, tx) in self.mains.iter().enumerate() {
             if peer == node {
-                for other in 0..self.send_txs.len() {
+                for other in 0..self.mains.len() {
                     if other != node {
-                        let _ = tx.send(SendJob::ResetPeer { peer: other });
+                        let _ = tx.send(NodeEvent::ResetPeer { peer: other });
                     }
                 }
             } else {
-                let _ = tx.send(SendJob::ResetPeer { peer: node });
+                let _ = tx.send(NodeEvent::ResetPeer { peer: node });
             }
         }
         let _ = self.mains[node].send(NodeEvent::Recover);
@@ -304,8 +306,22 @@ impl LiveCluster {
             })
             .collect();
 
+        // Event channels, unbounded: the NIC engine runs the wake hook,
+        // which must never block.
+        let (mains, main_rxs): (Vec<Sender<NodeEvent>>, Vec<_>) =
+            (0..n).map(|_| unbounded::<NodeEvent>()).unzip();
+        // One wake hook per node, shared by its completion queue and its
+        // file rings: a completion or a landed reply wakes the main loop.
+        let wake_pending: Vec<Arc<AtomicBool>> =
+            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
+        let hooks: Vec<_> = (0..n)
+            .map(|i| wake_hook(Arc::clone(&wake_pending[i]), mains[i].clone()))
+            .collect();
         // Completion queues: one per node, aggregating all its VIs.
-        let cqs: Vec<CompletionQueue> = (0..n).map(|_| CompletionQueue::new()).collect();
+        let cqs: Vec<CompletionQueue> = hooks
+            .iter()
+            .map(|h| CompletionQueue::with_wake(Arc::clone(h)))
+            .collect();
 
         // VI mesh + per-peer regions.
         let mut vis: Vec<Vec<Option<press_via::Vi>>> =
@@ -398,13 +414,8 @@ impl LiveCluster {
             .map(|i| (0..n).map(|j| rings_peer_view(&rings, i, j)).collect())
             .collect();
 
-        let mut mains = Vec::new();
-        let mut send_txs = Vec::new();
         let mut threads = Vec::new();
-        let mut cq_iter = cqs.into_iter();
-        for i in 0..n {
-            let (main_tx, main_rx) = unbounded::<NodeEvent>();
-            let (send_tx, send_rx) = unbounded::<SendJob>();
+        for (i, (cq, main_rx)) in cqs.into_iter().zip(main_rxs).enumerate() {
             let (disk_tx, disk_rx) = unbounded::<(FileId, u64)>();
             let ctx = Arc::new(NodeCtx {
                 id: i,
@@ -439,18 +450,17 @@ impl LiveCluster {
                 credit_batch: cfg.credit_batch,
                 slot_bytes,
                 stats: Arc::clone(&stats),
-                shutdown: Arc::clone(&shutdown),
                 membership: Arc::clone(&membership),
                 dead: Arc::clone(&dead[i]),
                 trace: tracer.as_ref().map(|t| t.handle(i as u16, lane::MAIN)),
                 load_write_fanout: cfg.load_write_fanout,
-                ring_write_pending: Arc::new(AtomicBool::new(false)),
+                wake_pending: Arc::clone(&wake_pending[i]),
             });
-            // A reply landing in one of our file rings wakes our main loop.
-            let hook = ring_write_hook(Arc::clone(&ctx.ring_write_pending), main_tx.clone());
+            // A V6 reply is a remote write and raises no completion here,
+            // so it wakes our main loop through the file ring it lands in.
             for &ring in ctx.own_rings.iter().flatten() {
                 nics[i]
-                    .on_remote_write(ring, Arc::clone(&hook))
+                    .on_remote_write(ring, Arc::clone(&hooks[i]))
                     .expect("install file ring hook");
             }
             let main_cfg = MainConfig {
@@ -465,44 +475,17 @@ impl LiveCluster {
                 jitter_seed: cfg.faults.as_ref().map_or(0, |p| p.seed),
                 tree_caching: cfg.tree_caching,
             };
-            let cq = cq_iter.next().expect("one cq per node");
-
-            let ctx_main = Arc::clone(&ctx);
-            let send_for_main = send_tx.clone();
             let node_prefill = std::mem::take(&mut prefill[i]);
             let node_cachers = cachers.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("press{i}-main"))
                     .spawn(move || {
-                        main_loop(
-                            ctx_main,
-                            main_cfg,
-                            main_rx,
-                            send_for_main,
-                            node_prefill,
-                            node_cachers,
-                        )
+                        main_loop(ctx, main_cfg, main_rx, cq, node_prefill, node_cachers)
                     })
                     .expect("spawn main"),
             );
-            let ctx_send = Arc::clone(&ctx);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("press{i}-send"))
-                    .spawn(move || send_loop(ctx_send, send_rx))
-                    .expect("spawn send"),
-            );
-            let ctx_recv = Arc::clone(&ctx);
-            let main_for_recv = main_tx.clone();
-            let send_for_recv = send_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("press{i}-recv"))
-                    .spawn(move || recv_loop(ctx_recv, cq, main_for_recv, send_for_recv))
-                    .expect("spawn recv"),
-            );
-            let main_for_disk = main_tx.clone();
+            let main_for_disk = mains[i].clone();
             let (fixed, rate) = (cfg.disk_fixed, cfg.disk_bytes_per_sec);
             threads.push(
                 std::thread::Builder::new()
@@ -510,13 +493,10 @@ impl LiveCluster {
                     .spawn(move || disk_loop(disk_rx, main_for_disk, fixed, rate))
                     .expect("spawn disk"),
             );
-            mains.push(main_tx);
-            send_txs.push(send_tx);
         }
 
         let ctl = Arc::new(ClusterCtl {
             mains,
-            send_txs,
             dead,
             membership,
         });
@@ -708,15 +688,12 @@ impl LiveCluster {
     }
 
     fn shutdown_impl(mut self) -> Option<Trace> {
-        // ordering: Release — pairs with the Acquire loads in the node
-        // and monitor loops; all control traffic sent before this store
-        // is visible to threads that observe the flag.
+        // ordering: Release — pairs with the fault monitor's Acquire
+        // load; all control traffic sent before this store is visible
+        // once it observes the flag.
         self.shutdown.store(true, Ordering::Release);
         for tx in &self.ctl.mains {
             let _ = tx.send(NodeEvent::Shutdown);
-        }
-        for tx in &self.ctl.send_txs {
-            let _ = tx.send(SendJob::Shutdown);
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -725,5 +702,18 @@ impl LiveCluster {
         // the happens-before edge the ring drain relies on.
         self.nics.clear();
         self.tracer.take().map(|t| t.drain())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_node_runs_a_main_and_a_disk_thread() {
+        let catalog = FileCatalog::from_sizes(vec![1024; 16]);
+        let cluster = LiveCluster::start(LiveConfig::default(), catalog);
+        assert_eq!(cluster.threads.len(), 2 * cluster.nodes());
+        cluster.shutdown();
     }
 }

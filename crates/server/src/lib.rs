@@ -2,19 +2,25 @@
 //!
 //! While `press-core` reproduces the paper's *measurements* in a
 //! calibrated simulation, this crate runs the server's *architecture* for
-//! real (Figure 2 of the paper): every node has
+//! real: every node has
 //!
 //! * a **main thread** that parses requests, runs the locality-conscious
 //!   distribution policy (shared with the simulator via `press-core`),
-//!   manages the LRU file cache and tracks forwarded requests;
-//! * a **send thread** that marshals intra-cluster messages into
-//!   registered buffers and posts VIA send descriptors, respecting the
-//!   credit window;
-//! * a **receive thread** blocked on a VIA completion queue that decodes
-//!   arrivals, reposts descriptors, returns credits, and hands message
-//!   digests to the main thread;
+//!   manages the LRU file cache and tracks forwarded requests. It also
+//!   marshals intra-cluster messages into registered buffers and posts
+//!   VIA send descriptors within the credit window, and at the end of
+//!   every loop pass it drains its own completion queue: it decodes
+//!   arrivals, reposts descriptors and returns credits;
 //! * a **disk thread** that simulates disk reads (the main thread never
 //!   blocks, as in the paper).
+//!
+//! This departs from Figure 2 of the paper, which gives each node
+//! separate send and receive helper threads. The paper's V3+ main thread
+//! already polls its receive structures, and on a host with few cores
+//! every hand-off between host threads cost more than the message it
+//! carried, so both helpers are folded into the main thread. The NIC
+//! engine wakes a parked main thread through a hook on its completion
+//! queue and file rings.
 //!
 //! Load information travels exclusively through **remote memory writes**
 //! into per-node load tables — the mechanism the paper found ideal for

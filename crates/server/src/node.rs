@@ -1,12 +1,15 @@
-//! The per-node threads of the live server, mirroring Figure 2 of the
-//! paper: a non-blocking main thread, helper threads for sending and
-//! receiving intra-cluster messages, and a disk thread.
+//! The per-node threads of the live server: a non-blocking main thread
+//! that also posts to its VIs and drains its own completion queue, and a
+//! disk thread. Figure 2's send and receive helper threads are folded
+//! into the main thread (the crate docs say why); the NIC engine wakes a
+//! parked main thread through [`wake_hook`].
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use press_cluster::{FileCache, NodeId};
 use press_collect::{sample_peers, select_topology, DetRng, TreeView};
 use press_core::{
@@ -32,7 +35,8 @@ use crate::wire::{
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileTransferMode {
     /// Regular VIA send/receive: the receiver's posted descriptor
-    /// completes and wakes the receive thread (versions V0–V2).
+    /// completes and wakes the main thread through its completion queue
+    /// (versions V0–V2).
     Regular,
     /// Remote memory writes into per-pair circular buffers (versions
     /// V3–V6). The main thread consumes them by polling the sequence
@@ -65,13 +69,20 @@ pub(crate) enum NodeEvent {
     /// A mid-run content update: every cached copy of `file` is stale and
     /// must be discarded (re-read from disk on next access).
     Invalidate { file: FileId },
-    /// The receive thread decoded an intra-cluster message.
+    /// The completion-queue drain decoded an intra-cluster message.
     Remote { from: usize, msg: WireMsg },
     /// The disk thread finished reading `file`.
     DiskDone { file: FileId },
-    /// A remote write landed in one of this node's file rings. Only a
-    /// wake-up: the ring poll at the end of every loop pass consumes it.
-    RingWrite,
+    /// A completion was queued on this node's completion queue, or a
+    /// remote write landed in one of its file rings. Only a wake-up: the
+    /// drain and ring poll at the end of every loop pass consume it.
+    Wake,
+    /// A peer crashed or rejoined: restore its credit window to full and
+    /// discard messages queued toward it (they would be stale on
+    /// arrival). Applied as soon as the main loop reads it off the
+    /// channel, even while this node is crashed, so every message decoded
+    /// after it already sees the fresh window.
+    ResetPeer { peer: usize },
     /// Fault injection: this node crashes. In-flight state is lost and
     /// events are discarded until [`NodeEvent::Recover`].
     Crash,
@@ -81,27 +92,7 @@ pub(crate) enum NodeEvent {
     Shutdown,
 }
 
-/// Jobs for a node's send thread.
-#[derive(Debug)]
-pub(crate) enum SendJob {
-    /// Transmit a message; `needs_credit` messages respect the window.
-    Msg {
-        to: usize,
-        msg: WireMsg,
-        needs_credit: bool,
-    },
-    /// The receive thread observed returned credits from `from`.
-    Credits { from: usize, n: u32 },
-    /// RDMA-write our current load into every peer's load table.
-    RdmaLoad { load: u32 },
-    /// A peer crashed or rejoined: restore its credit window to full and
-    /// discard messages queued toward it (they would be stale on arrival).
-    ResetPeer { peer: usize },
-    /// Stop the send loop.
-    Shutdown,
-}
-
-/// Everything a node's threads share.
+/// A node's VIA resources and fixed configuration.
 pub(crate) struct NodeCtx {
     pub id: usize,
     pub nodes: usize,
@@ -140,11 +131,10 @@ pub(crate) struct NodeCtx {
     pub credit_batch: u32,
     pub slot_bytes: usize,
     pub stats: Arc<ServerStats>,
-    pub shutdown: Arc<AtomicBool>,
     /// Cluster-wide view of which nodes are alive.
     pub membership: Arc<Membership>,
-    /// This node's crash switch: while set, the receive thread drops all
-    /// traffic on the floor (the node is unreachable, like a dead host).
+    /// This node's crash switch: while set, its completion-queue drain
+    /// drops all traffic (the node is unreachable, like a dead host).
     pub dead: Arc<AtomicBool>,
     /// Main-thread telemetry handle (wall-clock spans); None when tracing
     /// is off, leaving the hot path a single branch.
@@ -152,26 +142,26 @@ pub(crate) struct NodeCtx {
     /// Sparse load dissemination: RDMA-write the periodic load update to
     /// only this many sampled live peers (0 = all live peers).
     pub load_write_fanout: u32,
-    /// Set by the file rings' write hook while a `RingWrite` is queued,
-    /// so a burst of writes queues one event; cleared by the main loop
-    /// just before it polls the rings.
-    pub ring_write_pending: Arc<AtomicBool>,
+    /// Set by [`wake_hook`] while a `Wake` is queued, so a burst queues
+    /// one event; cleared by the main loop before each drain.
+    pub wake_pending: Arc<AtomicBool>,
 }
 
-/// The write hook installed on each of a node's file rings: a landed
-/// write queues one [`NodeEvent::RingWrite`] unless one is already
-/// pending.
-pub(crate) fn ring_write_hook(
+/// The wake hook installed on a node's completion queue and on each of
+/// its file rings: a queued completion or landed write queues one
+/// [`NodeEvent::Wake`] unless one is already pending. It never blocks the
+/// NIC engine that runs it: the event channel is unbounded.
+pub(crate) fn wake_hook(
     pending: Arc<AtomicBool>,
     events: Sender<NodeEvent>,
 ) -> Arc<dyn Fn() + Send + Sync> {
     Arc::new(move || {
-        // The swap reads the latest value, so a write that lands after
-        // the main loop's clear always queues a fresh wake-up.
-        // ordering: Release — publishes the landed ring bytes to the
-        // main loop's Acquire swap that clears the flag.
+        // The swap reads the latest value, so a completion or write
+        // after the main loop's clear always queues a fresh wake-up.
+        // ordering: Release — publishes the queued completion or landed
+        // ring bytes to the main loop's Acquire swap that clears the flag.
         if !pending.swap(true, Ordering::Release) {
-            let _ = events.send(NodeEvent::RingWrite);
+            let _ = events.send(NodeEvent::Wake);
         }
     })
 }
@@ -279,12 +269,13 @@ fn breaker_allows(breakers: &[CircuitBreaker], peer: usize, now_micros: u64) -> 
 }
 
 /// The main thread: parses requests, decides locally-vs-forward, tracks
-/// pending forwards, and never blocks on communication (helper threads do).
+/// pending forwards, posts through its [`Outbox`] and drains its
+/// completion queue. It parks only on its event channel, never on I/O.
 pub(crate) fn main_loop(
     ctx: Arc<NodeCtx>,
     cfg: MainConfig,
     events: Receiver<NodeEvent>,
-    send_tx: Sender<SendJob>,
+    cq: CompletionQueue,
     prefill: Vec<(FileId, u64)>,
     initial_cachers: Vec<u128>,
 ) {
@@ -329,24 +320,44 @@ pub(crate) fn main_loop(
         loads[ctx.id] = own;
     };
 
+    let mut out = Outbox::new(Arc::clone(&ctx));
+    // Messages the completion-queue drain decoded, behind the channel
+    // events it moved here first (see `take_events`); a pass takes from
+    // here before it reads the event channel.
+    let mut inbox: VecDeque<NodeEvent> = VecDeque::new();
+    let mut cq_consumed = vec![0u32; ctx.nodes];
     let mut ring_expected = vec![1u64; ctx.nodes];
     let mut ring_consumed = vec![0u32; ctx.nodes];
     // The tick only bounds how late a retry deadline is noticed. Nothing
-    // else waits for it: every message, disk completion and landed ring
-    // write arrives as an event.
+    // else waits for it: every completion, disk read and landed ring
+    // write wakes the loop.
     let tick = Duration::from_millis(1);
     loop {
-        let event = match events.recv_timeout(tick) {
-            Ok(ev) => Some(ev),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-            Err(_) => break,
+        let event = match inbox.pop_front() {
+            Some(ev) => Some(ev),
+            None => match events.try_recv() {
+                Ok(ev) => Some(ev),
+                Err(TryRecvError::Disconnected) => break,
+                Err(TryRecvError::Empty) => {
+                    // Drain-on-idle batching: ring every staged doorbell
+                    // before parking, so a batch only coalesces messages
+                    // that were already queued and a lone message never
+                    // waits for a later one.
+                    out.flush_all();
+                    match events.recv_timeout(tick) {
+                        Ok(ev) => Some(ev),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    }
+                }
+            },
         };
-        // A ring wake-up only runs the ring poll. It does not advance the
-        // load-write cadence, so load writes per request do not depend on
-        // how many wake-ups the replies raised.
+        // Neither a wake-up nor a peer reset advances the load-write
+        // cadence, so load writes per request do not depend on how many
+        // wake-ups the completions raised.
         let got_event = event
             .as_ref()
-            .is_some_and(|ev| !matches!(ev, NodeEvent::RingWrite));
+            .is_some_and(|ev| !matches!(ev, NodeEvent::Wake | NodeEvent::ResetPeer { .. }));
         if let Some(event) = event {
             match event {
                 NodeEvent::Shutdown => break,
@@ -374,7 +385,8 @@ pub(crate) fn main_loop(
                 NodeEvent::Recover => {
                     crashed = false;
                 }
-                NodeEvent::RingWrite => {}
+                NodeEvent::ResetPeer { peer } => out.reset_peer(peer),
+                NodeEvent::Wake => {}
                 _ if crashed => {
                     // A dead host executes nothing. Client requests routed
                     // here before the membership change are lost (their
@@ -549,9 +561,9 @@ pub(crate) fn main_loop(
                                 }
                                 ServerStats::bump(&ctx.stats.forward_msgs);
                                 ServerStats::bump(&ctx.stats.forwarded);
-                                let _ = send_tx.send(SendJob::Msg {
-                                    to: target.0 as usize,
-                                    msg: WireMsg {
+                                out.send(
+                                    target.0 as usize,
+                                    WireMsg {
                                         kind: WireKind::Forward,
                                         file,
                                         token,
@@ -559,8 +571,8 @@ pub(crate) fn main_loop(
                                         parent_span: send_span,
                                         payload: Vec::new(),
                                     },
-                                    needs_credit: true,
-                                });
+                                    true,
+                                );
                             }
                         }
                     }
@@ -600,7 +612,7 @@ pub(crate) fn main_loop(
                                     recv,
                                 );
                                 send_file_back(
-                                    &ctx, &send_tx, from, msg.token, file, bytes, load, hit,
+                                    &ctx, &mut out, from, msg.token, file, bytes, load, hit,
                                 );
                             } else {
                                 enqueue_disk(
@@ -664,7 +676,7 @@ pub(crate) fn main_loop(
                             if origin_enc != 0 {
                                 tree_caching_fanout(
                                     &ctx,
-                                    &send_tx,
+                                    &mut out,
                                     msg.file,
                                     msg.token,
                                     msg.sender_load,
@@ -672,7 +684,7 @@ pub(crate) fn main_loop(
                                 );
                             }
                         }
-                        // Flow is consumed by the receive thread.
+                        // Flow is consumed by the completion-queue drain.
                         WireKind::Flow => {}
                     }
                 }
@@ -697,10 +709,10 @@ pub(crate) fn main_loop(
                     let evicted = cache.insert(file, bytes);
                     let bit = 1u128 << ctx.id;
                     cachers[file.0 as usize] |= bit;
-                    broadcast_caching(&ctx, &send_tx, file, 0, load, cfg.tree_caching);
+                    broadcast_caching(&ctx, &mut out, file, 0, load, cfg.tree_caching);
                     for ev in evicted {
                         cachers[ev.0 as usize] &= !bit;
-                        broadcast_caching(&ctx, &send_tx, ev, 1, load, cfg.tree_caching);
+                        broadcast_caching(&ctx, &mut out, ev, 1, load, cfg.tree_caching);
                     }
                     for waiter in wait.map(|w| w.waiters).unwrap_or_default() {
                         match waiter {
@@ -721,7 +733,7 @@ pub(crate) fn main_loop(
                             }
                             DiskWaiter::SendBack { to, token, parent } => {
                                 send_file_back(
-                                    &ctx, &send_tx, to, token, file, bytes, load, parent,
+                                    &ctx, &mut out, to, token, file, bytes, load, parent,
                                 );
                             }
                         }
@@ -729,20 +741,21 @@ pub(crate) fn main_loop(
                 }
             }
         }
+        // Clear the wake flag before draining: any completion or ring
+        // write after this finds it clear and queues a fresh `Wake`.
+        // ordering: Acquire — pairs with `wake_hook`'s Release swap, so
+        // every completion or write whose hook saw the flag set is visible.
+        ctx.wake_pending.swap(false, Ordering::Acquire);
+        drain_cq(&ctx, &cq, &events, &mut out, &mut cq_consumed, &mut inbox);
         // Poll the RMW file rings at the end of the main server loop, as
         // in the paper: consume every entry whose sequence number landed.
         // A crashed node still advances sequence numbers (entries vanish
         // into the dead host) so the rings stay aligned for recovery, but
         // it returns no credits and completes nothing.
         if ctx.file_mode == FileTransferMode::RemoteWrite {
-            // Clear the wake flag before polling: any write that lands
-            // after this finds it clear and queues a fresh `RingWrite`.
-            // ordering: Acquire — pairs with `ring_write_hook`'s Release
-            // swap, so every write whose hook saw the flag set is visible.
-            ctx.ring_write_pending.swap(false, Ordering::Acquire);
             poll_file_rings(
                 &ctx,
-                &send_tx,
+                &mut out,
                 &mut ring_expected,
                 &mut ring_consumed,
                 &mut pending,
@@ -883,9 +896,9 @@ pub(crate) fn main_loop(
                         breakers[target].on_send(now_us);
                     }
                     ServerStats::bump(&ctx.stats.forward_msgs);
-                    let _ = send_tx.send(SendJob::Msg {
-                        to: target,
-                        msg: WireMsg {
+                    out.send(
+                        target,
+                        WireMsg {
                             kind: WireKind::Forward,
                             file: p.file,
                             token,
@@ -893,8 +906,8 @@ pub(crate) fn main_loop(
                             parent_span: send_span,
                             payload: Vec::new(),
                         },
-                        needs_credit: true,
-                    });
+                        true,
+                    );
                 }
             }
         }
@@ -904,22 +917,25 @@ pub(crate) fn main_loop(
             events_since_load_write += 1;
             if events_since_load_write >= cfg.load_write_period {
                 events_since_load_write = 0;
-                let _ = send_tx.send(SendJob::RdmaLoad { load });
+                out.rdma_load(load);
             }
         }
     }
+    // Drain whatever is still staged so no slab slot leaks its in-flight
+    // mark across shutdown.
+    out.flush_all();
 }
 
 /// Drains every inbound file ring: reads the sequence number at each
 /// slot's last bytes, and when the next expected number has landed,
 /// consumes the entry (completing the pending client request) and
-/// returns credits in batches. This is PRESS's version-3 receive path —
-/// no receive-thread involvement; the rings' write hook only wakes the
+/// returns credits in batches. This is PRESS's version-3 receive path:
+/// no completion is involved, and the rings' write hook only wakes the
 /// main loop so that this poll runs.
 #[allow(clippy::too_many_arguments)]
 fn poll_file_rings(
     ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
+    out: &mut Outbox,
     expected: &mut [u64],
     consumed: &mut [u32],
     pending: &mut HashMap<u64, Pending>,
@@ -977,25 +993,30 @@ fn poll_file_rings(
                 *load = (*load).saturating_sub(1);
                 ctx.trace_event_in(EventKind::Done, p.trace_req, len as u64, 0, recv);
             }
-            consumed[src] += 1;
-            if consumed[src] >= ctx.credit_batch {
-                let n = consumed[src];
-                consumed[src] = 0;
-                ServerStats::bump(&ctx.stats.flow_msgs);
-                let _ = send_tx.send(SendJob::Msg {
-                    to: src,
-                    msg: WireMsg {
-                        kind: WireKind::Flow,
-                        file: FileId(0),
-                        token: n as u64,
-                        sender_load: 0,
-                        parent_span: 0,
-                        payload: Vec::new(),
-                    },
-                    needs_credit: false,
-                });
-            }
+            return_credits(ctx, out, src, &mut consumed[src]);
         }
+    }
+}
+
+/// Counts one consumed credit-bearing message from `peer` and, once a
+/// batch has accumulated, returns the credits in one flow message.
+fn return_credits(ctx: &NodeCtx, out: &mut Outbox, peer: usize, consumed: &mut u32) {
+    *consumed += 1;
+    if *consumed >= ctx.credit_batch {
+        let n = std::mem::take(consumed);
+        ServerStats::bump(&ctx.stats.flow_msgs);
+        out.send(
+            peer,
+            WireMsg {
+                kind: WireKind::Flow,
+                file: FileId(0),
+                token: n as u64,
+                sender_load: 0,
+                parent_span: 0,
+                payload: Vec::new(),
+            },
+            false,
+        );
     }
 }
 
@@ -1039,7 +1060,7 @@ fn enqueue_disk(
 #[allow(clippy::too_many_arguments)]
 fn send_file_back(
     ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
+    out: &mut Outbox,
     to: usize,
     token: u64,
     file: FileId,
@@ -1051,9 +1072,9 @@ fn send_file_back(
     // The send span becomes the wire-carried causal context, so the
     // origin's ViaRecv stitches straight onto this node's chain.
     let send_span = ctx.trace_event_in(EventKind::ViaSend, token, bytes, to as u64, parent);
-    let _ = send_tx.send(SendJob::Msg {
+    out.send(
         to,
-        msg: WireMsg {
+        WireMsg {
             kind: WireKind::FileData,
             file,
             token,
@@ -1061,13 +1082,13 @@ fn send_file_back(
             parent_span: send_span,
             payload: file_contents(file, bytes as usize),
         },
-        needs_credit: true,
-    });
+        true,
+    );
 }
 
 fn broadcast_caching(
     ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
+    out: &mut Outbox,
     file: FileId,
     action: u64,
     load: u32,
@@ -1078,16 +1099,16 @@ fn broadcast_caching(
         // low byte), so relays can rebuild the same tree: the wire format
         // is unchanged, legacy receivers see origin 0 == "the sender".
         let token = action | ((ctx.id as u64 + 1) << 8);
-        tree_caching_fanout(ctx, send_tx, file, token, load, ctx.id);
+        tree_caching_fanout(ctx, out, file, token, load, ctx.id);
     } else {
         for peer in 0..ctx.nodes {
             if peer == ctx.id || !ctx.membership.is_live(peer) {
                 continue;
             }
             ServerStats::bump(&ctx.stats.caching_msgs);
-            let _ = send_tx.send(SendJob::Msg {
-                to: peer,
-                msg: WireMsg {
+            out.send(
+                peer,
+                WireMsg {
                     kind: WireKind::Caching,
                     file,
                     token: action,
@@ -1095,8 +1116,8 @@ fn broadcast_caching(
                     parent_span: 0,
                     payload: Vec::new(),
                 },
-                needs_credit: true,
-            });
+                true,
+            );
         }
     }
 }
@@ -1109,7 +1130,7 @@ fn broadcast_caching(
 /// flat sends.
 fn tree_caching_fanout(
     ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
+    out: &mut Outbox,
     file: FileId,
     token: u64,
     load: u32,
@@ -1130,9 +1151,9 @@ fn tree_caching_fanout(
     );
     for c in children {
         ServerStats::bump(&ctx.stats.caching_msgs);
-        let _ = send_tx.send(SendJob::Msg {
-            to: c as usize,
-            msg: WireMsg {
+        out.send(
+            c as usize,
+            WireMsg {
                 kind: WireKind::Caching,
                 file,
                 token,
@@ -1140,8 +1161,8 @@ fn tree_caching_fanout(
                 parent_span: 0,
                 payload: Vec::new(),
             },
-            needs_credit: true,
-        });
+            true,
+        );
     }
 }
 
@@ -1207,8 +1228,8 @@ fn flush_bell(ctx: &NodeCtx, bell: &mut Option<Doorbell>) {
 /// wire bytes straight into it, mark it in flight, and stage its
 /// descriptor on the peer's doorbell. Flow messages (credit returns)
 /// flush immediately so they are never delayed behind a partial batch.
-/// The receive thread releases the slot when the send completion is
-/// reaped ([`reap_slab`]).
+/// The completion-queue drain releases the slot when the send completion
+/// is reaped ([`reap_slab`]).
 fn slab_post(
     ctx: &NodeCtx,
     pool: &SlabPool,
@@ -1231,8 +1252,8 @@ fn slab_post(
         }
     };
     // In flight *before* the doorbell: the batch threshold can flush the
-    // staged list inside `post`, and the completion may race back to the
-    // receive thread's reap before this thread runs again.
+    // staged list inside `post`, and the completion must find the slot
+    // in flight whenever the drain reaps it.
     let _ = pool.mark_in_flight(slot);
     if let Err(e) = bell.post(desc) {
         // Never reached the NIC; unwind the state machine and rejoin the
@@ -1244,46 +1265,6 @@ fn slab_post(
         bell.flush()?;
     }
     Ok(())
-}
-
-/// Transmits one message, fresh or released by returned credits: a file
-/// transfer in remote-write mode as an RDMA ring write ([`rmw_file`]);
-/// anything else on the V6 fast path when enabled (falling back to the
-/// classic per-peer slot regions if the pool is momentarily exhausted),
-/// the classic path otherwise.
-#[allow(clippy::too_many_arguments)]
-fn transmit(
-    ctx: &NodeCtx,
-    bells: &mut [Option<Doorbell>],
-    peer: usize,
-    msg: &WireMsg,
-    next_slot: &mut [usize],
-    next_flow_slot: &mut [usize],
-    next_ring_seq: &mut [u64],
-    buf: &mut [u8],
-) {
-    if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData {
-        // RDMA bypasses the doorbell; keep per-VI ordering.
-        flush_bell(ctx, &mut bells[peer]);
-        rmw_file(ctx, peer, msg, next_slot, next_ring_seq, buf);
-        return;
-    }
-    if let (Some(bell), Some(pool)) = (bells[peer].as_mut(), ctx.send_pool.as_deref()) {
-        match slab_post(ctx, pool, bell, msg, buf) {
-            Ok(()) => return,
-            // Completions lagging behind the posting rate: fall back to
-            // the classic slot regions rather than dropping the message.
-            Err(ViaError::PoolExhausted) => {}
-            Err(_) => {
-                ServerStats::bump(&ctx.stats.via_errors);
-                return;
-            }
-        }
-        // The classic path bypasses the doorbell; flush staged traffic
-        // first so per-VI ordering is preserved.
-        flush_bell(ctx, &mut bells[peer]);
-    }
-    post_legacy(ctx, peer, msg, next_slot, next_flow_slot, buf);
 }
 
 /// Releases the slab slot behind a completed fast-path send. RDMA and
@@ -1305,166 +1286,202 @@ fn reap_slab(ctx: &NodeCtx, c: &press_via::Completion) {
     }
 }
 
-/// The send thread (Figure 2): marshals messages into registered send
-/// buffers and posts descriptors, respecting the per-peer credit window.
-pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
-    let n = ctx.nodes;
-    let mut credits = vec![ctx.window; n];
-    let mut queued: Vec<std::collections::VecDeque<WireMsg>> =
-        (0..n).map(|_| std::collections::VecDeque::new()).collect();
-    let mut next_slot = vec![0usize; n];
-    let mut next_flow_slot = vec![0usize; n];
-    let mut next_ring_seq = vec![1u64; n];
-    let mut buf = vec![0u8; ctx.slot_bytes.max(ctx.ring_slot_bytes)];
-    // Sparse load dissemination: deterministic per-node stream, so a
-    // given (seed, fanout) config replays the same peer samples.
-    let mut load_rng = DetRng::new(0x10AD_u64 ^ ctx.id as u64);
+/// The send side of a node, owned by its main loop: per-peer credit
+/// windows and the messages queued behind them, slot and ring cursors,
+/// and the V6 doorbells. Nothing here blocks.
+struct Outbox {
+    ctx: Arc<NodeCtx>,
+    credits: Vec<u32>,
+    queued: Vec<VecDeque<WireMsg>>,
+    next_slot: Vec<usize>,
+    next_flow_slot: Vec<usize>,
+    next_ring_seq: Vec<u64>,
+    buf: Vec<u8>,
+    /// Sparse load dissemination: deterministic per-node stream, so a
+    /// given (seed, fanout) config replays the same peer samples.
+    load_rng: DetRng,
+    /// V6 fast path: one doorbell per peer coalescing descriptor posts,
+    /// fed from the shared slab pool. All None when doorbell_batch is 1,
+    /// leaving the V0–V5 path byte-for-byte untouched. No staleness
+    /// bound: the main loop rings them all before it parks.
+    bells: Vec<Option<Doorbell>>,
+}
 
-    // V6 fast path: one doorbell per peer coalescing descriptor posts,
-    // fed from the shared slab pool. All None when doorbell_batch is 1,
-    // leaving the V0–V5 path byte-for-byte untouched. No staleness bound:
-    // the loop below drains on idle and never calls `flush_stale`.
-    let mut bells: Vec<Option<Doorbell>> = (0..n)
-        .map(|peer| {
-            (ctx.doorbell_batch > 1)
-                .then(|| ctx.vis[peer].clone())
-                .flatten()
-                .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
-        })
-        .collect();
-
-    loop {
-        // Drain-on-idle batching: ring every staged doorbell before
-        // blocking, so a batch only coalesces messages that were already
-        // queued and a lone message never waits for a later one.
-        if jobs.is_empty() {
-            for bell in bells.iter_mut() {
-                flush_bell(&ctx, bell);
-            }
+impl Outbox {
+    fn new(ctx: Arc<NodeCtx>) -> Outbox {
+        let n = ctx.nodes;
+        let bells = (0..n)
+            .map(|peer| {
+                (ctx.doorbell_batch > 1)
+                    .then(|| ctx.vis[peer].clone())
+                    .flatten()
+                    .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
+            })
+            .collect();
+        Outbox {
+            credits: vec![ctx.window; n],
+            queued: (0..n).map(|_| VecDeque::new()).collect(),
+            next_slot: vec![0; n],
+            next_flow_slot: vec![0; n],
+            next_ring_seq: vec![1; n],
+            buf: vec![0; ctx.slot_bytes.max(ctx.ring_slot_bytes)],
+            load_rng: DetRng::new(0x10AD_u64 ^ ctx.id as u64),
+            bells,
+            ctx,
         }
-        let Ok(job) = jobs.recv() else { break };
-        match job {
-            SendJob::Shutdown => break,
-            SendJob::Msg {
-                to,
-                msg,
-                needs_credit,
-            } => {
-                if needs_credit {
-                    if credits[to] == 0 {
-                        // Credit stall: push staged traffic out now, or
-                        // the peer can never consume it and return the
-                        // credits this queue is waiting on.
-                        flush_bell(&ctx, &mut bells[to]);
-                        queued[to].push_back(msg);
-                        continue;
-                    }
-                    credits[to] -= 1;
-                }
-                transmit(
-                    &ctx,
-                    &mut bells,
-                    to,
-                    &msg,
-                    &mut next_slot,
-                    &mut next_flow_slot,
-                    &mut next_ring_seq,
-                    &mut buf,
-                );
+    }
+
+    /// Transmits `msg` to `to`. A `needs_credit` message takes one credit
+    /// from the peer's window, or waits in its queue while the window is
+    /// shut.
+    fn send(&mut self, to: usize, msg: WireMsg, needs_credit: bool) {
+        if needs_credit {
+            if self.credits[to] == 0 {
+                // Credit stall: push staged traffic out now, or the peer
+                // can never consume it and return the credits this queue
+                // is waiting on.
+                flush_bell(&self.ctx, &mut self.bells[to]);
+                self.queued[to].push_back(msg);
+                return;
             }
-            SendJob::Credits { from, n } => {
-                // Clamp to the window: a stale credit return (consumed
-                // before the peer crashed) arriving after a ResetPeer
-                // repair must not push credits past the slot count, or
-                // sends would overwrite unconsumed ring slots. Found by
-                // press-analyze's credit-repair interleaving model.
-                credits[from] = (credits[from] + n).min(ctx.window);
-                while credits[from] > 0 {
-                    match queued[from].pop_front() {
-                        Some(msg) => {
-                            credits[from] -= 1;
-                            transmit(
-                                &ctx,
-                                &mut bells,
-                                from,
-                                &msg,
-                                &mut next_slot,
-                                &mut next_flow_slot,
-                                &mut next_ring_seq,
-                                &mut buf,
-                            );
-                        }
-                        None => break,
-                    }
-                }
+            self.credits[to] -= 1;
+        }
+        self.transmit(to, &msg);
+    }
+
+    /// Applies `n` credits returned by `from` and releases as many queued
+    /// messages as they cover.
+    fn credits(&mut self, from: usize, n: u32) {
+        // Clamp to the window: a stale credit return (consumed before the
+        // peer crashed) arriving after a `reset_peer` repair must not push
+        // credits past the slot count, or sends would overwrite unconsumed
+        // ring slots. Found by press-analyze's credit-repair interleaving
+        // model.
+        self.credits[from] = (self.credits[from] + n).min(self.ctx.window);
+        while self.credits[from] > 0 {
+            let Some(msg) = self.queued[from].pop_front() else {
+                break;
+            };
+            self.credits[from] -= 1;
+            self.transmit(from, &msg);
+        }
+    }
+
+    /// RDMA-writes `load` into every live peer's load table, or into a
+    /// sampled few of them under sparse dissemination.
+    fn rdma_load(&mut self, load: u32) {
+        let ctx: &NodeCtx = &self.ctx;
+        if ctx
+            .nic
+            .write_region(ctx.scratch_region, 0, &load.to_le_bytes())
+            .is_err()
+        {
+            ServerStats::bump(&ctx.stats.via_errors);
+            return;
+        }
+        // Sparse mode: write the load to a random sample of live peers
+        // instead of all of them (power-of-two-choices reads tolerate
+        // stale views elsewhere). Fanout 0 keeps the dense legacy
+        // behaviour.
+        let sparse_targets = if ctx.load_write_fanout > 0 {
+            let (_, mask) = ctx.membership.snapshot();
+            Some(sample_peers(
+                &mut self.load_rng,
+                ctx.id as u16,
+                mask as u128,
+                ctx.nodes as u16,
+                ctx.load_write_fanout as usize,
+            ))
+        } else {
+            None
+        };
+        for (peer, bell) in self.bells.iter_mut().enumerate() {
+            if peer == ctx.id || !ctx.membership.is_live(peer) {
+                continue;
             }
-            SendJob::RdmaLoad { load } => {
-                if ctx
-                    .nic
-                    .write_region(ctx.scratch_region, 0, &load.to_le_bytes())
-                    .is_err()
-                {
-                    ServerStats::bump(&ctx.stats.via_errors);
+            if let Some(ts) = &sparse_targets {
+                if !ts.contains(&(peer as u16)) {
                     continue;
                 }
-                // Sparse mode: write the load to a random sample of live
-                // peers instead of all of them (power-of-two-choices
-                // reads tolerate stale views elsewhere). Fanout 0 keeps
-                // the dense legacy behaviour.
-                let sparse_targets = if ctx.load_write_fanout > 0 {
-                    let (_, mask) = ctx.membership.snapshot();
-                    Some(sample_peers(
-                        &mut load_rng,
-                        ctx.id as u16,
-                        mask as u128,
-                        ctx.nodes as u16,
-                        ctx.load_write_fanout as usize,
-                    ))
-                } else {
-                    None
-                };
-                for (peer, bell) in bells.iter_mut().enumerate() {
-                    if peer == ctx.id || !ctx.membership.is_live(peer) {
-                        continue;
-                    }
-                    if let Some(ts) = &sparse_targets {
-                        if !ts.contains(&(peer as u16)) {
-                            continue;
-                        }
-                    }
-                    // RDMA bypasses the doorbell; keep per-VI ordering.
-                    flush_bell(&ctx, bell);
-                    ServerStats::bump(&ctx.stats.rdma_load_writes);
-                    let posted = ctx.vis[peer].as_ref().map(|vi| {
-                        vi.rdma_write(
-                            Descriptor::new(ctx.scratch_region, 0, 4),
-                            RemoteBuffer {
-                                region: ctx.peer_load_regions[peer],
-                                offset: 4 * ctx.id,
-                            },
-                        )
-                    });
-                    if !matches!(posted, Some(Ok(()))) {
-                        ServerStats::bump(&ctx.stats.via_errors);
-                    }
-                }
             }
-            SendJob::ResetPeer { peer } => {
-                // The peer lost (or never saw) everything in flight: a
-                // fresh credit window against its freshly reposted
-                // descriptors, and nothing stale queued toward it. Staged
-                // batches are flushed (not dropped) so their slab slots
-                // still complete and return to the pool.
-                flush_bell(&ctx, &mut bells[peer]);
-                credits[peer] = ctx.window;
-                queued[peer].clear();
+            // RDMA bypasses the doorbell; keep per-VI ordering.
+            flush_bell(ctx, bell);
+            ServerStats::bump(&ctx.stats.rdma_load_writes);
+            let posted = ctx.vis[peer].as_ref().map(|vi| {
+                vi.rdma_write(
+                    Descriptor::new(ctx.scratch_region, 0, 4),
+                    RemoteBuffer {
+                        region: ctx.peer_load_regions[peer],
+                        offset: 4 * ctx.id,
+                    },
+                )
+            });
+            if !matches!(posted, Some(Ok(()))) {
+                ServerStats::bump(&ctx.stats.via_errors);
             }
         }
     }
-    // Drain whatever is still staged so no slab slot leaks its in-flight
-    // mark across shutdown.
-    for bell in bells.iter_mut() {
-        flush_bell(&ctx, bell);
+
+    /// The peer lost (or never saw) everything in flight: a fresh credit
+    /// window against its freshly reposted descriptors, and nothing stale
+    /// queued toward it. Staged batches are flushed (not dropped) so
+    /// their slab slots still complete and return to the pool.
+    fn reset_peer(&mut self, peer: usize) {
+        flush_bell(&self.ctx, &mut self.bells[peer]);
+        self.credits[peer] = self.ctx.window;
+        self.queued[peer].clear();
+    }
+
+    /// Rings every staged doorbell.
+    fn flush_all(&mut self) {
+        for bell in self.bells.iter_mut() {
+            flush_bell(&self.ctx, bell);
+        }
+    }
+
+    /// Transmits one message, fresh or released by returned credits: a file
+    /// transfer in remote-write mode as an RDMA ring write ([`rmw_file`]);
+    /// anything else on the V6 fast path when enabled (falling back to the
+    /// classic per-peer slot regions if the pool is momentarily exhausted),
+    /// the classic path otherwise.
+    fn transmit(&mut self, peer: usize, msg: &WireMsg) {
+        let ctx: &NodeCtx = &self.ctx;
+        if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData {
+            // RDMA bypasses the doorbell; keep per-VI ordering.
+            flush_bell(ctx, &mut self.bells[peer]);
+            rmw_file(
+                ctx,
+                peer,
+                msg,
+                &mut self.next_slot,
+                &mut self.next_ring_seq,
+                &mut self.buf,
+            );
+            return;
+        }
+        if let (Some(bell), Some(pool)) = (self.bells[peer].as_mut(), ctx.send_pool.as_deref()) {
+            match slab_post(ctx, pool, bell, msg, &mut self.buf) {
+                Ok(()) => return,
+                // Completions lagging behind the posting rate: fall back to
+                // the classic slot regions rather than dropping the message.
+                Err(ViaError::PoolExhausted) => {}
+                Err(_) => {
+                    ServerStats::bump(&ctx.stats.via_errors);
+                    return;
+                }
+            }
+            // The classic path bypasses the doorbell; flush staged traffic
+            // first so per-VI ordering is preserved.
+            flush_bell(ctx, &mut self.bells[peer]);
+        }
+        post_legacy(
+            ctx,
+            peer,
+            msg,
+            &mut self.next_slot,
+            &mut self.next_flow_slot,
+            &mut self.buf,
+        );
     }
 }
 
@@ -1524,110 +1541,97 @@ fn rmw_file(
     }
 }
 
-/// The receive thread (Figure 2): waits on the completion queue, decodes
-/// arrivals, reposts descriptors, handles flow control, and hands digests
-/// to the main thread.
-pub(crate) fn recv_loop(
-    ctx: Arc<NodeCtx>,
-    cq: CompletionQueue,
-    main_tx: Sender<NodeEvent>,
-    send_tx: Sender<SendJob>,
+/// Drains the node's completion queue, as the paper's main thread polls
+/// before it blocks: releases the slab slots of completed fast-path
+/// sends, decodes arrivals and reposts their descriptors, applies
+/// returned credits to the outbox, returns credits in batches, and
+/// queues every other message on `inbox` for the following passes.
+fn drain_cq(
+    ctx: &NodeCtx,
+    cq: &CompletionQueue,
+    events: &Receiver<NodeEvent>,
+    out: &mut Outbox,
+    consumed: &mut [u32],
+    inbox: &mut VecDeque<NodeEvent>,
 ) {
-    let mut consumed = vec![0u32; ctx.nodes];
-    loop {
-        match cq.wait(Duration::from_millis(20)) {
-            Err(_) => {
-                // ordering: Acquire — pairs with shutdown's Release
-                // store in `LiveCluster::shutdown`.
-                if ctx.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
+    while let Some(c) = cq.poll() {
+        let Some(&peer) = ctx.vi_peers.get(&c.vi_id) else {
+            continue;
+        };
+        if c.status.is_err() {
+            // Injected transport failures and genuine VIA errors surface
+            // here; the message is gone, recovery is the sender's retry
+            // problem. Failed receive descriptors are consumed, so repost
+            // to keep the window intact; failed fast-path sends still
+            // release their slot.
+            ServerStats::bump(&ctx.stats.via_errors);
+            if c.kind == CompletionKind::Recv {
+                repost_recv(ctx, peer, &c);
+            } else {
+                reap_slab(ctx, &c);
             }
-            Ok(c) => {
-                let Some(&peer) = ctx.vi_peers.get(&c.vi_id) else {
-                    continue;
-                };
-                if c.status.is_err() {
-                    // Injected transport failures and genuine VIA errors
-                    // surface here; the message is gone, recovery is the
-                    // sender's retry problem. Failed receive descriptors
-                    // are consumed, so repost to keep the window intact;
-                    // failed fast-path sends still release their slot.
-                    ServerStats::bump(&ctx.stats.via_errors);
-                    if c.kind == CompletionKind::Recv {
-                        repost_recv(&ctx, peer, &c);
-                    } else {
-                        reap_slab(&ctx, &c);
-                    }
-                    continue;
-                }
-                // Send-side and RDMA completions need no further action —
-                // except a fast-path send, whose slab slot the NIC owned
-                // until this completion.
-                if c.kind != CompletionKind::Recv {
-                    reap_slab(&ctx, &c);
-                    continue;
-                }
-                // ordering: Acquire — pairs with the Release stores in
-                // crash/recover/hang so a flipped flag is seen before
-                // any traffic sent after the transition.
-                let dead = ctx.dead.load(Ordering::Acquire);
-                let data = ctx
-                    .nic
-                    .read_region(c.descriptor.region, c.descriptor.offset, c.transferred)
-                    .unwrap_or_default();
-                // Repost the consumed descriptor immediately so the slot
-                // can take another message (even while dead — a crashed
-                // node must not exhaust its peers' descriptors when it
-                // comes back).
-                repost_recv(&ctx, peer, &c);
-                if dead {
-                    // Dead hosts receive nothing: no credits returned, no
-                    // events forwarded. Senders time out and re-route.
-                    consumed[peer] = 0;
-                    continue;
-                }
-                if data.is_empty() && c.transferred > 0 {
-                    ServerStats::bump(&ctx.stats.via_errors);
-                    continue;
-                }
-                let Some(msg) = WireMsg::decode(&data) else {
-                    continue; // malformed: drop, like a real server
-                };
-                if msg.kind == WireKind::Flow {
-                    let _ = send_tx.send(SendJob::Credits {
-                        from: peer,
-                        n: msg.token as u32,
-                    });
-                    continue;
-                }
-                // Credit-consuming message: count toward a batch return.
-                consumed[peer] += 1;
-                if consumed[peer] >= ctx.credit_batch {
-                    let n = consumed[peer];
-                    consumed[peer] = 0;
-                    ServerStats::bump(&ctx.stats.flow_msgs);
-                    let _ = send_tx.send(SendJob::Msg {
-                        to: peer,
-                        msg: WireMsg {
-                            kind: WireKind::Flow,
-                            file: FileId(0),
-                            token: n as u64,
-                            sender_load: 0,
-                            parent_span: 0,
-                            payload: Vec::new(),
-                        },
-                        needs_credit: false,
-                    });
-                }
-                let _ = main_tx.send(NodeEvent::Remote { from: peer, msg });
-            }
+            continue;
+        }
+        // Send-side and RDMA completions need no further action — except
+        // a fast-path send, whose slab slot the NIC owned until this
+        // completion.
+        if c.kind != CompletionKind::Recv {
+            reap_slab(ctx, &c);
+            continue;
+        }
+        // ordering: Acquire — pairs with the Release stores in
+        // crash/recover/hang so a flipped flag is seen before any traffic
+        // sent after the transition.
+        let dead = ctx.dead.load(Ordering::Acquire);
+        let data = ctx
+            .nic
+            .read_region(c.descriptor.region, c.descriptor.offset, c.transferred)
+            .unwrap_or_default();
+        // Repost the consumed descriptor immediately so the slot can take
+        // another message (even while dead — a crashed node must not
+        // exhaust its peers' descriptors when it comes back).
+        repost_recv(ctx, peer, &c);
+        if dead {
+            // Dead hosts receive nothing: no credits returned, no events
+            // queued. Senders time out and re-route.
+            consumed[peer] = 0;
+            continue;
+        }
+        // Whatever the channel held when `dead` read false (a recovery's
+        // `ResetPeer`s and `Recover` among it) goes first.
+        take_events(events, out, inbox);
+        if data.is_empty() && c.transferred > 0 {
+            ServerStats::bump(&ctx.stats.via_errors);
+            continue;
+        }
+        let Some(msg) = WireMsg::decode(&data) else {
+            continue; // malformed: drop, like a real server
+        };
+        if msg.kind == WireKind::Flow {
+            out.credits(peer, msg.token as u32);
+            continue;
+        }
+        return_credits(ctx, out, peer, &mut consumed[peer]);
+        inbox.push_back(NodeEvent::Remote { from: peer, msg });
+    }
+}
+
+/// Moves every event waiting on the channel onto `inbox`, in arrival
+/// order, so the node handles them before any message decoded after
+/// them: crash recovery relies on that order (DESIGN.md § 11, "Event
+/// order rule"). A `ResetPeer` is applied here instead: the credits and
+/// sends that follow it must already see the fresh window.
+fn take_events(events: &Receiver<NodeEvent>, out: &mut Outbox, inbox: &mut VecDeque<NodeEvent>) {
+    while let Ok(event) = events.try_recv() {
+        match event {
+            NodeEvent::ResetPeer { peer } => out.reset_peer(peer),
+            event => inbox.push_back(event),
         }
     }
 }
 
 /// Reposts a consumed receive descriptor at full slot size; a failure
-/// costs one descriptor from the (slack-provisioned) pool, not the thread.
+/// costs one descriptor from the (slack-provisioned) pool, not the node.
 fn repost_recv(ctx: &NodeCtx, peer: usize, c: &press_via::Completion) {
     let posted = ctx.vis[peer].as_ref().map(|vi| {
         vi.post_recv(Descriptor::new(

@@ -1,6 +1,7 @@
 //! Fault injection against the live threaded cluster: node crashes,
 //! fail-silent hangs, recovery, and injected VIA transport failures.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use press_server::{file_contents, FaultPlan, LiveCluster, LiveConfig, ServerStats};
@@ -164,5 +165,58 @@ fn injected_transport_failures_are_absorbed() {
         ServerStats::get(&stats.via_errors) > 0,
         "injection produced no error completions"
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn recovery_under_load_loses_no_forward() {
+    // Recovery queues the peer resets and `Recover` on the nodes' event
+    // channels before the node turns reachable again, and every message
+    // decoded after that must be handled after them. A forward reaching
+    // the recovering node before its `Recover` would be dropped; a reply
+    // leaving a busy peer before its reset would be thrown away, or
+    // overrun the window. Clients stop before each crash, so nothing is
+    // in flight when a node goes down, and any retry, error or wrong
+    // byte afterwards comes from the recovery itself. Many short cycles:
+    // each recovery is one chance to catch a misordered message.
+    const CLIENTS: usize = 4;
+    let files = 128u32;
+    let cluster = LiveCluster::start(LiveConfig::default(), catalog(files as usize, 1024));
+    for cycle in 0..40usize {
+        let victim = cycle % 4;
+        cluster.crash_node(victim);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for c in 0..CLIENTS {
+                let (cluster, stop) = (&cluster, &stop);
+                s.spawn(move || {
+                    let mut i = 0u32;
+                    // ordering: Relaxed — a stop flag; the scope's join
+                    // orders everything that matters.
+                    while !stop.load(Ordering::Relaxed) {
+                        let file = FileId((i * 13 + c as u32 * 29) % files);
+                        let node = (i as usize + c) % 4;
+                        let data = cluster.request(node, file, T).unwrap_or_else(|e| {
+                            panic!("cycle {cycle} client {c} request {i}: {e}")
+                        });
+                        assert_eq!(
+                            data,
+                            file_contents(file, 1024),
+                            "cycle {cycle} client {c} request {i} corrupt"
+                        );
+                        i += 1;
+                    }
+                });
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            cluster.recover_node(victim);
+            std::thread::sleep(Duration::from_millis(30));
+            stop.store(true, Ordering::Relaxed);
+        });
+    }
+    let stats = cluster.stats();
+    assert_eq!(ServerStats::get(&stats.retries), 0, "a forward was lost");
+    assert_eq!(ServerStats::get(&stats.requests_lost), 0);
+    assert_eq!(ServerStats::get(&stats.via_errors), 0);
     cluster.shutdown();
 }

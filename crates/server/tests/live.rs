@@ -326,7 +326,7 @@ fn fast_path_cluster_serves_requests() {
 fn fast_path_traces_coalesced_doorbells() {
     use press_telem::{EventKind, LiveTracer};
     let tracer = LiveTracer::new();
-    // A small window with batched credit returns makes the send thread
+    // A small window with batched credit returns makes the main loop
     // drain several queued messages back-to-back when credits arrive —
     // exactly the burst the doorbell exists to coalesce.
     let cfg = LiveConfig {
@@ -375,8 +375,8 @@ fn fast_path_lone_messages_leave_without_waiting_for_a_batch() {
     use press_telem::{EventKind, LiveTracer};
     let tracer = LiveTracer::new();
     // One client, one request at a time: a doorbell batch of 8 never
-    // fills, so each forward leaves only because the send thread rings
-    // its staged doorbells when its job queue drains. Periodic load
+    // fills, so each forward leaves only because the main loop rings
+    // its staged doorbells before it parks. Periodic load
     // writes (which flush as a side effect) are off, so a broken drain
     // would strand every forward until its retry timeout.
     let cfg = LiveConfig {
@@ -489,6 +489,47 @@ fn fast_path_replies_wake_the_main_loop() {
 }
 
 #[test]
+fn regular_replies_wake_the_main_loop() {
+    // The V0 twin of `fast_path_replies_wake_the_main_loop`: a reply is a
+    // regular message, and its receive completion must wake the parked
+    // main loop through the completion queue's wake hook. A reply left
+    // for the 1 ms tick would cost a forwarded request about a
+    // millisecond.
+    let cluster = LiveCluster::start(LiveConfig::default(), small_catalog(32, 2048));
+    let bound = Duration::from_micros(500);
+    let warm = median_forwarded_latency(&cluster, 0);
+    assert!(warm < bound, "forwarded median {warm:?} before a crash");
+    // Crash the initial node as soon as it forwards a request, so the
+    // reply completes while it is down, then bring it back: the wake
+    // flag must not stay set across the outage.
+    let before = ServerStats::get(&cluster.stats().forwarded);
+    std::thread::scope(|s| {
+        let cluster = &cluster;
+        s.spawn(move || {
+            for f in 0..8 {
+                // The request forwarded at the crash fails; later ones
+                // are steered to a live node.
+                let _ = cluster.request(0, FileId(f), T);
+            }
+        });
+        let start = Instant::now();
+        while ServerStats::get(&cluster.stats().forwarded) == before {
+            assert!(start.elapsed() < T, "node 0 forwarded nothing");
+            std::thread::yield_now();
+        }
+        cluster.crash_node(0);
+    });
+    cluster.recover_node(0);
+    let recovered = median_forwarded_latency(&cluster, 0);
+    assert!(
+        recovered < bound,
+        "forwarded median {recovered:?} after crash and recovery"
+    );
+    assert_eq!(ServerStats::get(&cluster.stats().retries), 0);
+    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
+}
+
+#[test]
 fn fast_path_survives_window_pressure() {
     // Tiny windows force credit stalls — each stall must flush the
     // doorbell or the cluster deadlocks waiting on credits.
@@ -522,7 +563,7 @@ fn fast_path_survives_window_pressure() {
 #[test]
 fn window_pressure_does_not_deadlock() {
     // A tiny credit window with bursty traffic exercises queuing in the
-    // send thread and the credit return path.
+    // outbox and the credit return path.
     let cfg = LiveConfig {
         window: 2,
         credit_batch: 1,

@@ -132,7 +132,7 @@ struct ViShared {
     recv_done: SpscRing<Completion>,
     recv_reap: OwnerTag,
     /// When attached, completions go to the CQ instead of the VI rings.
-    cq: Option<Sender<Completion>>,
+    cq: Option<CqSink>,
 }
 
 /// Engine-side ring publish with backpressure: the host reaps within
@@ -168,9 +168,7 @@ impl ViShared {
     /// owning this VI (whose engine is the sole producer).
     fn complete_send(&self, nic: &NicShared, c: Completion) {
         match &self.cq {
-            Some(cq) => {
-                let _ = cq.send(c);
-            }
+            Some(cq) => cq.push(c),
             None => engine_push(nic, &self.send_done, c),
         }
     }
@@ -179,9 +177,7 @@ impl ViShared {
     /// owning this VI; the producer is its single peer's engine.
     fn complete_recv(&self, nic: &NicShared, c: Completion) {
         match &self.cq {
-            Some(cq) => {
-                let _ = cq.send(c);
-            }
+            Some(cq) => cq.push(c),
             None => engine_push(nic, &self.recv_done, c),
         }
     }
@@ -367,7 +363,7 @@ impl Fabric {
             send_reap: OwnerTag::new(),
             recv_done: SpscRing::with_capacity(DONE_RING_CAP),
             recv_reap: OwnerTag::new(),
-            cq: cq_a.map(|c| c.tx.clone()),
+            cq: cq_a.map(|c| c.sink.clone()),
         });
         let vi_b = Arc::new(ViShared {
             id: id_b,
@@ -379,7 +375,7 @@ impl Fabric {
             send_reap: OwnerTag::new(),
             recv_done: SpscRing::with_capacity(DONE_RING_CAP),
             recv_reap: OwnerTag::new(),
-            cq: cq_b.map(|c| c.tx.clone()),
+            cq: cq_b.map(|c| c.sink.clone()),
         });
         a.shared.vis.write().insert(id_a, Arc::clone(&vi_a));
         b.shared.vis.write().insert(id_b, Arc::clone(&vi_b));
@@ -812,10 +808,29 @@ impl std::fmt::Debug for Vi {
     }
 }
 
+/// The producer side of a [`CompletionQueue`], shared by every VI
+/// attached to it.
+#[derive(Clone)]
+struct CqSink {
+    tx: Sender<Completion>,
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+impl CqSink {
+    /// Engine-side: queue `c`, then run the wake hook, so the hook's
+    /// owner can already poll the completion it is woken for.
+    fn push(&self, c: Completion) {
+        let _ = self.tx.send(c);
+        if let Some(wake) = &self.wake {
+            wake();
+        }
+    }
+}
+
 /// Aggregates descriptor completions of multiple VIs into one queue
 /// (Section 2.1's CQs).
 pub struct CompletionQueue {
-    tx: Sender<Completion>,
+    sink: CqSink,
     rx: Receiver<Completion>,
 }
 
@@ -829,7 +844,21 @@ impl CompletionQueue {
     /// Creates an empty completion queue.
     pub fn new() -> Self {
         let (tx, rx) = unbounded();
-        CompletionQueue { tx, rx }
+        CompletionQueue {
+            sink: CqSink { tx, wake: None },
+            rx,
+        }
+    }
+
+    /// Creates an empty completion queue that runs `wake` on the NIC
+    /// engine thread after every completion it queues: send, receive
+    /// and RDMA write alike. A host thread that polls the queue before
+    /// it parks uses the hook to be woken instead of blocking in
+    /// [`CompletionQueue::wait`]. The hook must not block.
+    pub fn with_wake(wake: Arc<dyn Fn() + Send + Sync>) -> Self {
+        let mut cq = Self::new();
+        cq.sink.wake = Some(wake);
+        cq
     }
 
     /// Non-blocking poll.
@@ -1513,6 +1542,111 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(ids, expect);
         assert!(cq.is_empty());
+    }
+
+    /// Spins until `done` holds, failing the test after `T`.
+    fn wait_for(done: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !done() {
+            assert!(start.elapsed() < T, "condition not reached in {T:?}");
+            std::thread::yield_now();
+        }
+    }
+
+    type KindLog = Arc<Mutex<Vec<Option<CompletionKind>>>>;
+
+    /// A completion queue whose wake hook polls the queue itself and logs
+    /// the kind of the completion it found (None: nothing was queued).
+    fn self_polling_cq() -> (Arc<CompletionQueue>, KindLog) {
+        let cell: Arc<OnceLock<Weak<CompletionQueue>>> = Arc::new(OnceLock::new());
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (c, l) = (Arc::clone(&cell), Arc::clone(&log));
+        let cq = Arc::new(CompletionQueue::with_wake(Arc::new(move || {
+            let polled = c.get().and_then(Weak::upgrade).and_then(|cq| cq.poll());
+            l.lock().push(polled.map(|c| c.kind));
+        })));
+        let _ = cell.set(Arc::downgrade(&cq));
+        (cq, log)
+    }
+
+    #[test]
+    fn cq_wake_hook_runs_once_per_completion_already_queued() {
+        let (cq, log) = self_polling_cq();
+        let fabric = Fabric::new();
+        let a = fabric.create_nic("a");
+        let b = fabric.create_nic("b");
+        let (va, vb) = fabric
+            .connect_with_cqs(&a, &b, Reliability::ReliableDelivery, Some(&cq), Some(&cq))
+            .unwrap();
+        let ma = a.register(vec![7; 16], false).unwrap();
+        let mb = b.register(vec![0; 32], true).unwrap();
+        vb.post_recv(Descriptor::new(mb, 0, 16)).unwrap();
+        va.post_send(Descriptor::new(ma, 0, 16)).unwrap();
+        wait_for(|| log.lock().len() == 2);
+        va.rdma_write(
+            Descriptor::new(ma, 0, 8),
+            RemoteBuffer {
+                region: mb,
+                offset: 16,
+            },
+        )
+        .unwrap();
+        wait_for(|| log.lock().len() == 3);
+        let kinds = log.lock().clone();
+        assert!(
+            kinds[..2].contains(&Some(CompletionKind::Send)),
+            "{kinds:?}"
+        );
+        assert!(
+            kinds[..2].contains(&Some(CompletionKind::Recv)),
+            "{kinds:?}"
+        );
+        assert_eq!(kinds[2], Some(CompletionKind::RdmaWrite));
+        // Each run found its completion and nothing else: the queue is
+        // drained and no further run follows.
+        std::thread::sleep(Duration::from_millis(10));
+        assert_eq!(log.lock().len(), 3);
+        assert!(cq.is_empty());
+    }
+
+    #[test]
+    fn cq_wake_hook_is_not_run_by_a_plain_queue() {
+        let (runs, hook) = counting_hook();
+        let plain = CompletionQueue::new();
+        let woken = CompletionQueue::with_wake(hook);
+        let fabric = Fabric::new();
+        let a = fabric.create_nic("a");
+        let b = fabric.create_nic("b");
+        let (va, vb) = fabric
+            .connect_with_cqs(
+                &a,
+                &b,
+                Reliability::ReliableDelivery,
+                Some(&plain),
+                Some(&woken),
+            )
+            .unwrap();
+        let ma = a.register(vec![7; 16], false).unwrap();
+        let mb = b.register(vec![0; 16], true).unwrap();
+        vb.post_recv(Descriptor::new(mb, 0, 16)).unwrap();
+        va.post_send(Descriptor::new(ma, 0, 16)).unwrap();
+        assert_eq!(plain.wait(T).unwrap().kind, CompletionKind::Send);
+        assert_eq!(woken.wait(T).unwrap().kind, CompletionKind::Recv);
+        va.rdma_write(
+            Descriptor::new(ma, 0, 8),
+            RemoteBuffer {
+                region: mb,
+                offset: 0,
+            },
+        )
+        .unwrap();
+        assert_eq!(plain.wait(T).unwrap().kind, CompletionKind::RdmaWrite);
+        // ordering: Relaxed — test counter, see `counting_hook`.
+        wait_for(|| runs.load(Ordering::Relaxed) == 1);
+        // The send and RDMA completions on the plain queue ran no hook.
+        std::thread::sleep(Duration::from_millis(10));
+        // ordering: Relaxed — as above.
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
     }
 
     #[test]
