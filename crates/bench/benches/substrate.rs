@@ -63,7 +63,6 @@ fn bench_zipf(c: &mut Criterion) {
 
 fn bench_policy(c: &mut Criterion) {
     let cfg = PolicyConfig::default();
-    let cachers: Vec<NodeId> = (1..8).map(NodeId).collect();
     let loads: Vec<u32> = (0..8).map(|i| (i * 13) % 90).collect();
     c.bench_function("policy_decide", |b| {
         b.iter(|| {
@@ -74,7 +73,7 @@ fn bench_policy(c: &mut Criterion) {
                     file_bytes: 10_000,
                     cached_locally: false,
                     first_request: false,
-                    cachers: &cachers,
+                    cachers: 0b1111_1110,
                     loads: &loads,
                     load_balancing: true,
                 },

@@ -34,7 +34,7 @@ mod driver;
 mod load;
 mod metrics;
 mod overload;
-mod policy;
+pub mod policy;
 mod server;
 mod version;
 

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::load::Dissemination;
 use crate::overload::{CircuitBreaker, OverloadConfig};
-use crate::policy::{decide, decide_probed, Decision, PolicyConfig, RequestView};
+use crate::policy::{self, view_load, Decision, PolicyConfig, RequestView};
 use crate::version::ServerVersion;
 
 /// Mean wire size of a client HTTP request (GET line + headers).
@@ -257,8 +257,10 @@ pub struct ClusterSim {
     fault_next: usize,
     /// Physical truth: which nodes are up right now.
     alive: Vec<bool>,
-    /// What the (delayed) failure detector has announced to survivors.
-    alive_view: Vec<bool>,
+    /// What the (delayed) failure detector has announced to survivors,
+    /// as a live-member bitmask: the membership epoch every node derives
+    /// its dissemination tree from.
+    alive_view: u128,
     cache_bytes: u64,
     fault_stats: FaultCounters,
     crashed_now: usize,
@@ -380,7 +382,7 @@ impl ClusterSim {
             fault_schedule: faults.schedule(),
             fault_next: 0,
             alive: vec![true; n],
-            alive_view: vec![true; n],
+            alive_view: u128::MAX >> (128 - n),
             cache_bytes,
             fault_stats: FaultCounters::default(),
             crashed_now: 0,
@@ -677,18 +679,6 @@ impl ClusterSim {
                 | Dissemination::PowerOfTwoChoices(_)
                 | Dissemination::SparsePull { .. }
         )
-    }
-
-    /// The failure detector's live-member bitmask — the membership epoch
-    /// every node derives its dissemination tree from.
-    fn live_mask(&self) -> u128 {
-        let mut mask = 0u128;
-        for (i, &alive) in self.alive_view.iter().enumerate() {
-            if alive {
-                mask |= 1 << i;
-            }
-        }
-        mask
     }
 
     fn needs_credit(&self, ty: MessageType) -> bool {
@@ -1113,9 +1103,8 @@ impl ClusterSim {
         origin_load: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        let mask = self.live_mask();
-        let topo = select_topology(mask.count_ones(), 0);
-        let tree = TreeView::build(topo, origin, mask, self.params.nodes as u16);
+        let topo = select_topology(self.alive_view.count_ones(), 0);
+        let tree = TreeView::build(topo, origin, self.alive_view, self.params.nodes as u16);
         let children = tree.children(me);
         if children.is_empty() {
             return;
@@ -1140,11 +1129,10 @@ impl ClusterSim {
     /// reply carries the peer's (refreshing ours) — a bidirectional view
     /// refresh at `2 × fanout` messages instead of `N - 1`.
     fn sparse_pull(&mut self, now: SimTime, node: u16, fanout: u32, sched: &mut Scheduler<Event>) {
-        let mask = self.live_mask();
         let targets = sample_peers(
             &mut self.collect_rng,
             node,
-            mask,
+            self.alive_view,
             self.params.nodes as u16,
             fanout as usize,
         );
@@ -1437,20 +1425,20 @@ impl ClusterSim {
             (r.initial.0, r.file, r.attempt, r.server)
         };
         let next_attempt = attempt + 1;
-        let mask = self.cachers[file.0 as usize];
         // Next-best: alive (as far as the initial node knows), caching the
         // file, not the peer that just failed us, and not behind an open
         // circuit breaker.
-        let candidates: Vec<u16> = (0..self.params.nodes as u16)
-            .filter(|&i| {
-                self.alive_view[i as usize]
-                    && mask & (1 << i) != 0
-                    && Some(i) != prev_server
-                    && i != initial
-                    && self.breaker_allows(initial, i, now)
-            })
-            .collect();
-        if next_attempt > self.faults.max_retries || candidates.is_empty() {
+        let target = if next_attempt > self.faults.max_retries {
+            None
+        } else {
+            let failed = prev_server.map_or(0, |s| 1 << s);
+            policy::least_loaded(
+                self.cachers[file.0 as usize] & self.alive_view & !(1 << initial) & !failed,
+                view_load(&self.load_views[initial as usize]),
+                |c| self.breaker_allows(initial, c, now),
+            )
+        };
+        let Some(NodeId(target)) = target else {
             self.fault_stats.failovers += 1;
             self.trace_instant(
                 now,
@@ -1468,13 +1456,8 @@ impl ClusterSim {
             }
             self.service_request(now, req_id, initial, sched);
             return;
-        }
+        };
         self.fault_stats.retries += 1;
-        let target = candidates
-            .iter()
-            .copied()
-            .min_by_key(|&c| (self.load_views[initial as usize][c as usize], c))
-            .expect("non-empty candidates");
         self.trace_instant(
             now,
             initial,
@@ -1501,43 +1484,6 @@ impl ClusterSim {
             sched,
         );
         self.schedule_retry(now, req_id, next_attempt, sched);
-    }
-
-    /// Forwards `req_id` from `node` to `target` (the acting half of a
-    /// `Decision::Forward`, shared by the view-based and probed paths).
-    fn do_forward(
-        &mut self,
-        now: SimTime,
-        req_id: u64,
-        node: u16,
-        target: u16,
-        sched: &mut Scheduler<Event>,
-    ) {
-        self.trace_instant(
-            now,
-            node,
-            lane::MAIN,
-            EventKind::Dispatch,
-            req_id,
-            1,
-            target as u64,
-        );
-        if let Some(r) = self.requests.get_mut(&req_id) {
-            r.forwarded = true;
-            r.server = Some(target);
-        }
-        self.breaker_on_send(node, target, now);
-        self.send_msg(
-            now,
-            MessageType::Forward,
-            node,
-            target,
-            0,
-            Some(req_id),
-            0,
-            sched,
-        );
-        self.schedule_retry(now, req_id, 0, sched);
     }
 
     /// One probe reply arrived for a deferred power-of-two-choices
@@ -1571,63 +1517,79 @@ impl ClusterSim {
     /// to the least-loaded probed peer (fresh loads, not a lagging view)
     /// or serve locally.
     fn dispatch_probed(&mut self, now: SimTime, req_id: u64, sched: &mut Scheduler<Event>) {
-        let (node, probed) = {
+        let (node, file, probed) = {
             let Some(r) = self.requests.get_mut(&req_id) else {
                 return;
             };
             r.pending_probes = 0;
-            (r.initial.0, std::mem::take(&mut r.probed))
+            (r.initial.0, r.file, std::mem::take(&mut r.probed))
         };
-        let peers: Vec<NodeId> = probed.iter().map(|&(n, _)| NodeId(n)).collect();
-        let loads: Vec<u32> = probed.iter().map(|&(_, l)| l).collect();
-        let own = self.nodes[node as usize].open_connections;
-        let mut decision = if probed.is_empty() {
+        let decision = if probed.is_empty() {
             // Every probe timed out (lost or badly delayed). Serving
             // locally would replicate the file through a disk read; the
             // NLB-style fallback — lowest-numbered live cacher — keeps
             // the request on a cached copy.
-            let file = match self.requests.get(&req_id) {
-                Some(r) => r.file,
-                None => return,
-            };
-            let mask = self.cachers[file.0 as usize];
-            (0..self.params.nodes as u16)
-                .find(|&i| i != node && mask & (1 << i) != 0 && self.alive_view[i as usize])
-                .map(|t| Decision::Forward(NodeId(t)))
-                .unwrap_or(Decision::ServeLocal)
+            policy::lowest(self.cachers[file.0 as usize] & self.alive_view & !(1 << node))
         } else {
-            decide_probed(&self.params.policy, NodeId(node), own, &peers, &loads)
+            let own = self.nodes[node as usize].open_connections;
+            policy::decide_probed(&self.params.policy, NodeId(node), own, &probed)
         };
-        if let Decision::Forward(t) = decision {
-            if !self.breaker_allows(node, t.0, now) {
-                // Steer to the best probed peer the breaker still admits.
-                self.fault_stats.breaker_diverts += 1;
-                decision = probed
-                    .iter()
-                    .filter(|&&(c, _)| c != node && self.breaker_allows(node, c, now))
-                    .min_by_key(|&&(c, l)| (l, c))
-                    .map(|&(c, _)| Decision::Forward(NodeId(c)))
-                    .unwrap_or(Decision::ServeLocal);
-            }
+        // Steer to the best probed peer the breaker still admits.
+        let checked = policy::divert(
+            decision,
+            NodeId(node),
+            policy::probed_mask(&probed),
+            policy::probed_load(&probed),
+            |c| self.breaker_allows(node, c, now),
+        );
+        self.act_on(now, req_id, node, checked, sched);
+    }
+
+    /// Acts on a breaker-checked decision at `node`, counting a
+    /// diversion: serve the request there or forward it (the acting half
+    /// shared by the view-based and probed paths).
+    fn act_on(
+        &mut self,
+        now: SimTime,
+        req_id: u64,
+        node: u16,
+        (decision, diverted): (Decision, bool),
+        sched: &mut Scheduler<Event>,
+    ) {
+        self.fault_stats.breaker_diverts += u64::from(diverted);
+        let (forward, server) = match decision {
+            Decision::ServeLocal => (false, node),
+            Decision::Forward(t) => (true, t.0),
+        };
+        self.trace_instant(
+            now,
+            node,
+            lane::MAIN,
+            EventKind::Dispatch,
+            req_id,
+            u64::from(forward),
+            server as u64,
+        );
+        if let Some(r) = self.requests.get_mut(&req_id) {
+            r.forwarded |= forward;
+            r.server = Some(server);
         }
-        match decision {
-            Decision::ServeLocal => {
-                self.trace_instant(
-                    now,
-                    node,
-                    lane::MAIN,
-                    EventKind::Dispatch,
-                    req_id,
-                    0,
-                    node as u64,
-                );
-                if let Some(r) = self.requests.get_mut(&req_id) {
-                    r.server = Some(node);
-                }
-                self.service_request(now, req_id, node, sched);
-            }
-            Decision::Forward(t) => self.do_forward(now, req_id, node, t.0, sched),
+        if !forward {
+            self.service_request(now, req_id, node, sched);
+            return;
         }
+        self.breaker_on_send(node, server, now);
+        self.send_msg(
+            now,
+            MessageType::Forward,
+            node,
+            server,
+            0,
+            Some(req_id),
+            0,
+            sched,
+        );
+        self.schedule_retry(now, req_id, 0, sched);
     }
 
     /// Makes the distribution decision for a parsed request (Section 2.2)
@@ -1643,13 +1605,9 @@ impl ClusterSim {
         };
         let first = !self.ever_requested[file.0 as usize];
         self.ever_requested[file.0 as usize] = true;
-        let cachers_mask = self.cachers[file.0 as usize];
         // Peers the failure detector has evicted are not
         // forwarding candidates, whatever the caching info says.
-        let cachers: Vec<NodeId> = (0..self.params.nodes as u16)
-            .filter(|&i| cachers_mask & (1 << i) != 0 && self.alive_view[i as usize])
-            .map(NodeId)
-            .collect();
+        let cachers = self.cachers[file.0 as usize] & self.alive_view;
         // Power-of-two-choices: a request that would consult the lagging
         // load view instead probes a few sampled cachers for their live
         // load and defers the decision to the replies. The guards mirror
@@ -1659,12 +1617,7 @@ impl ClusterSim {
             && bytes < self.params.policy.large_file_cutoff
             && !self.nodes[node as usize].cache.contains(file)
         {
-            let mut pmask = 0u128;
-            for c in &cachers {
-                if c.0 != node {
-                    pmask |= 1 << c.0;
-                }
-            }
+            let pmask = cachers & !(1 << node);
             if pmask != 0 {
                 let d = self.params.dissemination.probe_fanout() as usize;
                 let targets = sample_peers(
@@ -1713,60 +1666,29 @@ impl ClusterSim {
                 return;
             }
         }
-        let decision = decide(
+        let decision = policy::decide(
             &self.params.policy,
             &RequestView {
                 initial: NodeId(node),
                 file_bytes: bytes,
                 cached_locally: self.nodes[node as usize].cache.contains(file),
                 first_request: first,
-                cachers: &cachers,
+                cachers,
                 loads: &self.load_views[node as usize],
                 load_balancing: self.params.dissemination.load_balancing(),
             },
         );
-        match decision {
-            Decision::ServeLocal => {
-                self.trace_instant(
-                    now,
-                    node,
-                    lane::MAIN,
-                    EventKind::Dispatch,
-                    req_id,
-                    0,
-                    node as u64,
-                );
-                if let Some(r) = self.requests.get_mut(&req_id) {
-                    r.server = Some(node);
-                }
-                self.service_request(now, req_id, node, sched);
-            }
-            Decision::Forward(target) => {
-                // Circuit breaker: a peer that keeps missing
-                // deadlines is not a forwarding target. Steer to
-                // the best-admissible cacher, or serve locally.
-                let target = if self.breaker_allows(node, target.0, now) {
-                    Some(target.0)
-                } else {
-                    self.fault_stats.breaker_diverts += 1;
-                    cachers
-                        .iter()
-                        .map(|c| c.0)
-                        .filter(|&c| c != node && self.breaker_allows(node, c, now))
-                        .min_by_key(|&c| (self.load_views[node as usize][c as usize], c))
-                };
-                let Some(target) = target else {
-                    // Every admissible peer is broken open: local
-                    // service beats piling onto a saturated one.
-                    if let Some(r) = self.requests.get_mut(&req_id) {
-                        r.server = Some(node);
-                    }
-                    self.service_request(now, req_id, node, sched);
-                    return;
-                };
-                self.do_forward(now, req_id, node, target, sched);
-            }
-        }
+        // Circuit breaker: a peer that keeps missing deadlines is not a
+        // forwarding target. Steer to the best-admissible cacher, or
+        // serve locally rather than pile onto a saturated one.
+        let checked = policy::divert(
+            decision,
+            NodeId(node),
+            cachers,
+            view_load(&self.load_views[node as usize]),
+            |c| self.breaker_allows(node, c, now),
+        );
+        self.act_on(now, req_id, node, checked, sched);
     }
 
     /// Applies every crash/recovery transition whose completed-request
@@ -2227,8 +2149,10 @@ impl Model for ClusterSim {
                 self.complete_request(now, req_id, sched);
             }
             Event::Membership { node, alive } => {
-                self.alive_view[node as usize] = alive;
-                if !alive {
+                if alive {
+                    self.alive_view |= 1 << node;
+                } else {
+                    self.alive_view &= !(1 << node);
                     // Anything still queued toward the evicted peer will
                     // never be sendable; count it as lost.
                     for peer in 0..self.params.nodes as u16 {

@@ -157,3 +157,31 @@ fn crashes_affect_all_dissemination_strategies() {
         assert_eq!(faulted.membership_epochs, 1, "{diss:?}");
     }
 }
+
+/// A peer that stops answering long before the failure detector evicts
+/// it: forwards to it miss their deadlines until the initial nodes'
+/// breakers open, and later decisions that pick it are steered to
+/// another admissible cacher or served locally. The counters are exact:
+/// recorded before the forwarding-target rule moved into `policy`, so a
+/// change to choice, diversion or re-route shows up here.
+#[test]
+fn breaker_diverts_forwards_around_an_undetected_crash() {
+    let mut cfg = base_config();
+    cfg.faults = FaultPlan {
+        detection_micros: 400_000,
+        retry_timeout_micros: 30_000,
+        ..FaultPlan::crashes_only(11, Vec::new()).with_crash(1, CRASH_AT_25PCT, None)
+    };
+    cfg.overload = press_core::chaos::protective_overload(&cfg);
+    let m = run_simulation(&cfg);
+    assert_eq!(
+        (
+            m.breaker_diverts,
+            m.retries,
+            m.failovers,
+            m.requests_lost,
+            m.measured_requests
+        ),
+        (21, 0, 47, 9, 4_000)
+    );
+}

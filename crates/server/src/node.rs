@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use press_cluster::{FileCache, NodeId};
 use press_collect::{sample_peers, select_topology, DetRng, TreeView};
+use press_core::policy::{self, view_load};
 use press_core::{
     decide, decorrelated_jitter_micros, CircuitBreaker, Decision, OverloadConfig, PolicyConfig,
     RequestView,
@@ -437,45 +438,34 @@ pub(crate) fn main_loop(
                         // Crashed peers drop out of the candidate set the
                         // moment the membership view changes, whatever the
                         // dissemination strategy populated `cachers` with.
-                        let cacher_list: Vec<NodeId> = (0..ctx.nodes as u16)
-                            .filter(|&i| {
-                                cachers[file.0 as usize] & (1 << i) != 0
-                                    && ctx.membership.is_live(i as usize)
-                            })
-                            .map(NodeId)
-                            .collect();
-                        let mut decision = decide(
+                        let live = ctx.membership.snapshot().1 as u128;
+                        let file_cachers = cachers[file.0 as usize] & live;
+                        let decision = decide(
                             &cfg.policy,
                             &RequestView {
                                 initial: NodeId(ctx.id as u16),
                                 file_bytes: bytes,
                                 cached_locally: cache.contains(file),
                                 first_request: cachers[file.0 as usize] == 0,
-                                cachers: &cacher_list,
+                                cachers: file_cachers,
                                 loads: &loads,
                                 load_balancing: true,
                             },
                         );
-                        if let Decision::Forward(target) = decision {
-                            let t = target.0 as usize;
-                            let now_us = t0.elapsed().as_micros() as u64;
-                            if !breaker_allows(&breakers, t, now_us) {
-                                // The breaker says this peer stopped
-                                // answering: steer to the best admissible
-                                // alternative cacher, or absorb the work
-                                // locally rather than feed a black hole.
-                                ServerStats::bump(&ctx.stats.breaker_diverts);
-                                decision = cacher_list
-                                    .iter()
-                                    .filter(|c| {
-                                        let i = c.0 as usize;
-                                        i != t
-                                            && i != ctx.id
-                                            && breaker_allows(&breakers, i, now_us)
-                                    })
-                                    .min_by_key(|c| (loads[c.0 as usize], c.0))
-                                    .map_or(Decision::ServeLocal, |&c| Decision::Forward(c));
-                            }
+                        // The breaker says a peer stopped answering:
+                        // steer to the best admissible alternative
+                        // cacher, or absorb the work locally rather than
+                        // feed a black hole.
+                        let now_us = t0.elapsed().as_micros() as u64;
+                        let (decision, diverted) = policy::divert(
+                            decision,
+                            NodeId(ctx.id as u16),
+                            file_cachers,
+                            view_load(&loads),
+                            |i| breaker_allows(&breakers, i as usize, now_us),
+                        );
+                        if diverted {
+                            ServerStats::bump(&ctx.stats.breaker_diverts);
                         }
                         match decision {
                             Decision::ServeLocal => {
@@ -765,8 +755,8 @@ pub(crate) fn main_loop(
             );
         }
         // Forwarded requests whose service node stopped answering: retry
-        // against the next-best live cacher with exponential backoff, then
-        // fall back to local service.
+        // against the next-best live cacher with decorrelated-jitter
+        // backoff, then fall back to local service.
         if !pending.is_empty() && !crashed {
             let now = Instant::now();
             let mut expired: Vec<u64> = pending
@@ -779,6 +769,7 @@ pub(crate) fn main_loop(
                 .collect();
             expired.sort_unstable();
             let now_us = t0.elapsed().as_micros() as u64;
+            let live = ctx.membership.snapshot().1 as u128;
             for token in expired {
                 let Some(p) = pending.remove(&token) else {
                     continue;
@@ -789,28 +780,28 @@ pub(crate) fn main_loop(
                 if !breakers.is_empty() && p.target != ctx.id {
                     breakers[p.target].record_failure(now_us);
                 }
-                let mut candidates: Vec<usize> = (0..ctx.nodes)
-                    .filter(|&i| {
-                        i != ctx.id
-                            && i != p.target
-                            && cachers[p.file.0 as usize] & (1 << i) != 0
-                            && ctx.membership.is_live(i)
-                            && breaker_allows(&breakers, i, now_us)
-                    })
-                    .collect();
-                // No alternative cacher, but the target still looks
-                // alive: the *message* may have been lost rather than the
-                // node — retransmit to the same peer (backoff rising)
-                // until retries run out or the membership evicts it.
-                if candidates.is_empty()
-                    && p.target != ctx.id
-                    && ctx.membership.is_live(p.target)
-                    && breaker_allows(&breakers, p.target, now_us)
-                {
-                    candidates.push(p.target);
-                }
+                let admits = |i: u16| breaker_allows(&breakers, i as usize, now_us);
+                let target = if p.attempt >= cfg.max_retries {
+                    None
+                } else {
+                    read_loads(load, &mut loads);
+                    let others =
+                        cachers[p.file.0 as usize] & live & !(1 << ctx.id) & !(1 << p.target);
+                    policy::least_loaded(others, view_load(&loads), admits)
+                        .map(|n| usize::from(n.0))
+                        // No alternative cacher, but the target still
+                        // looks alive: the *message* may have been lost
+                        // rather than the node — retransmit to the same
+                        // peer (backoff rising) until retries run out or
+                        // the membership evicts it. Only the live node
+                        // does this; the sim fails over.
+                        .or((p.target != ctx.id
+                            && live & (1 << p.target) != 0
+                            && admits(p.target as u16))
+                        .then_some(p.target))
+                };
                 let bytes = cfg.catalog.size(p.file);
-                if p.attempt >= cfg.max_retries || candidates.is_empty() {
+                let Some(target) = target else {
                     // Out of options elsewhere: serve from our own cache
                     // or disk so the client still gets an answer.
                     ServerStats::bump(&ctx.stats.failovers);
@@ -846,69 +837,57 @@ pub(crate) fn main_loop(
                             },
                         );
                     }
-                } else {
-                    ServerStats::bump(&ctx.stats.retries);
-                    read_loads(load, &mut loads);
-                    // `candidates` was checked nonempty above, but a
-                    // panic here would take the whole node down — fall
-                    // back to the original target instead.
-                    let target = candidates
-                        .into_iter()
-                        .min_by_key(|&i| (loads[i], i))
-                        .unwrap_or(p.target);
-                    let attempt = p.attempt + 1;
-                    let token = next_token;
-                    next_token += 1;
-                    // The wire token changes on retry, but the trace
-                    // request id stays stable so all attempts stitch into
-                    // one causal chain.
-                    let retry_span = ctx.trace_event(
-                        EventKind::Retry,
-                        p.trace_req,
-                        attempt as u64,
-                        target as u64,
-                    );
-                    let send_span = ctx.trace_event_in(
-                        EventKind::ViaSend,
-                        p.trace_req,
-                        0,
-                        target as u64,
-                        retry_span,
-                    );
-                    pending.insert(
-                        token,
-                        Pending {
-                            reply: p.reply,
-                            file: p.file,
-                            target,
-                            attempt,
-                            deadline: retry_deadline(
-                                now,
-                                cfg.retry_timeout,
-                                cfg.jitter_seed,
-                                token,
-                                attempt,
-                            ),
-                            trace_req: p.trace_req,
-                        },
-                    );
-                    if !breakers.is_empty() {
-                        breakers[target].on_send(now_us);
-                    }
-                    ServerStats::bump(&ctx.stats.forward_msgs);
-                    out.send(
+                    continue;
+                };
+                ServerStats::bump(&ctx.stats.retries);
+                let attempt = p.attempt + 1;
+                let token = next_token;
+                next_token += 1;
+                // The wire token changes on retry, but the trace
+                // request id stays stable so all attempts stitch into
+                // one causal chain.
+                let retry_span =
+                    ctx.trace_event(EventKind::Retry, p.trace_req, attempt as u64, target as u64);
+                let send_span = ctx.trace_event_in(
+                    EventKind::ViaSend,
+                    p.trace_req,
+                    0,
+                    target as u64,
+                    retry_span,
+                );
+                pending.insert(
+                    token,
+                    Pending {
+                        reply: p.reply,
+                        file: p.file,
                         target,
-                        WireMsg {
-                            kind: WireKind::Forward,
-                            file: p.file,
+                        attempt,
+                        deadline: retry_deadline(
+                            now,
+                            cfg.retry_timeout,
+                            cfg.jitter_seed,
                             token,
-                            sender_load: load,
-                            parent_span: send_span,
-                            payload: Vec::new(),
-                        },
-                        true,
-                    );
+                            attempt,
+                        ),
+                        trace_req: p.trace_req,
+                    },
+                );
+                if !breakers.is_empty() {
+                    breakers[target].on_send(now_us);
                 }
+                ServerStats::bump(&ctx.stats.forward_msgs);
+                out.send(
+                    target,
+                    WireMsg {
+                        kind: WireKind::Forward,
+                        file: p.file,
+                        token,
+                        sender_load: load,
+                        parent_span: send_span,
+                        payload: Vec::new(),
+                    },
+                    true,
+                );
             }
         }
         // Periodic load dissemination through remote memory writes: no

@@ -4,6 +4,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use press_core::{BreakerConfig, OverloadConfig};
 use press_server::{file_contents, FaultPlan, LiveCluster, LiveConfig, ServerStats};
 use press_trace::{FileCatalog, FileId};
 
@@ -82,6 +83,54 @@ fn hung_peer_is_detected_through_timeouts() {
     assert!(
         ServerStats::get(&stats.failovers) >= 1,
         "request never failed over locally"
+    );
+    cluster.shutdown();
+}
+
+#[test]
+fn open_breaker_diverts_forwards_away_from_a_hung_peer() {
+    let retry_timeout = Duration::from_millis(100);
+    let cfg = LiveConfig {
+        retry_timeout,
+        max_retries: 2,
+        overload: OverloadConfig {
+            // One deadline miss opens a breaker, and it stays open for
+            // the rest of the test.
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                cooldown_micros: 60_000_000,
+            },
+            ..OverloadConfig::protective()
+        },
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start(cfg, catalog(64, 1024));
+    let stats = cluster.stats();
+    let mut on_node1 = (0..64u32).filter(|&f| placement(f, 4) == 1);
+    cluster.hang_node(1);
+    // Node-1 files requested at node 0 forward to the hung peer until a
+    // deadline miss opens node 0's breaker for it.
+    while ServerStats::get(&stats.retries) + ServerStats::get(&stats.failovers) == 0 {
+        let f = on_node1.next().expect("a node-1 file left to request");
+        let data = cluster
+            .request(0, FileId(f), T)
+            .expect("hung-target request");
+        assert_eq!(data, file_contents(FileId(f), 1024));
+    }
+    // The next node-1 file is diverted at decision time: no other node
+    // caches it, so node 0 serves it without waiting on the hung peer.
+    let f = on_node1.next().expect("a second node-1 file");
+    let start = Instant::now();
+    let data = cluster.request(0, FileId(f), T).expect("diverted request");
+    let took = start.elapsed();
+    assert_eq!(data, file_contents(FileId(f), 1024));
+    assert!(
+        ServerStats::get(&stats.breaker_diverts) >= 1,
+        "no diversion"
+    );
+    assert!(
+        took < retry_timeout,
+        "diverted request took {took:?}, as if it waited on the hung peer"
     );
     cluster.shutdown();
 }

@@ -58,9 +58,10 @@ pub struct FaultPlan {
     /// by the surviving nodes, in microseconds.
     pub detection_micros: u64,
     /// Base per-peer request timeout before a forwarded request is
-    /// retried, in microseconds. Backoff doubles it per attempt. Must sit
-    /// above the workload's tail response time, or healthy-but-slow
-    /// requests get retried spuriously.
+    /// retried, in microseconds; later attempts wait a decorrelated-jitter
+    /// backoff in `[base, 8 * base]` ([`decorrelated_jitter_micros`]).
+    /// Must sit above the workload's tail response time, or
+    /// healthy-but-slow requests get retried spuriously.
     pub retry_timeout_micros: u64,
     /// Retries before a request falls back to local (disk) service.
     pub max_retries: u32,

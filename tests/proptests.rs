@@ -4,6 +4,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use press::cluster::{FileCache, NodeId};
+use press::core::policy::{divert, view_load};
 use press::core::{decide, Decision, PolicyConfig, RequestView};
 use press::net::{wire_bytes, DeliveryMode, MessageType};
 use press::sim::{Model, Resource, Scheduler, SimTime, Simulator};
@@ -152,16 +153,12 @@ proptest! {
         lb in prop::bool::ANY,
     ) {
         let cfg = PolicyConfig::default();
-        let cachers: Vec<NodeId> = (0..8u16)
-            .filter(|i| cacher_bits & (1 << i) != 0)
-            .map(NodeId)
-            .collect();
         let view = RequestView {
             initial: NodeId(initial),
             file_bytes,
             cached_locally,
             first_request: first,
-            cachers: &cachers,
+            cachers: u128::from(cacher_bits),
             loads: &loads,
             load_balancing: lb,
         };
@@ -171,7 +168,7 @@ proptest! {
                 // Never forwards to itself, only to believed cachers,
                 // never for large files or first requests.
                 prop_assert_ne!(target, NodeId(initial));
-                prop_assert!(cachers.contains(&target));
+                prop_assert!(cacher_bits & (1 << target.0) != 0);
                 prop_assert!(file_bytes < cfg.large_file_cutoff);
                 prop_assert!(!first && !cached_locally);
             }
@@ -185,13 +182,12 @@ proptest! {
         // All remote nodes cache the file, nobody is overloaded: the
         // decision must be the least-loaded node (lowest id on ties).
         let cfg = PolicyConfig::default();
-        let cachers: Vec<NodeId> = (1..8u16).map(NodeId).collect();
         let view = RequestView {
             initial: NodeId(0),
             file_bytes: 1_000,
             cached_locally: false,
             first_request: false,
-            cachers: &cachers,
+            cachers: 0b1111_1110,
             loads: &loads,
             load_balancing: true,
         };
@@ -200,6 +196,42 @@ proptest! {
             .map(NodeId)
             .expect("cachers");
         prop_assert_eq!(decide(&cfg, &view), Decision::Forward(best));
+    }
+
+    #[test]
+    fn diversion_picks_least_loaded_admissible_cacher(
+        initial in 0u16..8,
+        target in 0u16..8,
+        cacher_bits in 0u8..=255,
+        refused_bits in 0u8..=255,
+        loads in vec(0u32..200, 8),
+    ) {
+        let admits = |n: u16| refused_bits & (1 << n) == 0;
+        let (d, diverted) = divert(
+            Decision::Forward(NodeId(target)),
+            NodeId(initial),
+            u128::from(cacher_bits),
+            view_load(&loads),
+            admits,
+        );
+        prop_assert_eq!(diverted, !admits(target));
+        if !diverted {
+            prop_assert_eq!(d, Decision::Forward(NodeId(target)));
+            return Ok(());
+        }
+        let eligible: Vec<u16> = (0..8u16)
+            .filter(|&n| cacher_bits & (1 << n) != 0 && n != initial && admits(n))
+            .collect();
+        match d {
+            Decision::Forward(n) => {
+                prop_assert!(eligible.contains(&n.0));
+                // Least-loaded, ties to the lowest id.
+                for &m in &eligible {
+                    prop_assert!((loads[n.0 as usize], n.0) <= (loads[m as usize], m));
+                }
+            }
+            Decision::ServeLocal => prop_assert!(eligible.is_empty()),
+        }
     }
 }
 
