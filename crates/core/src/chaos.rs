@@ -314,42 +314,49 @@ pub struct ChaosReport {
     pub flight_dumps: Vec<(String, FlightDump)>,
 }
 
-/// Runs the suite in the simulator: the steady scenario first (its p99
-/// sets every target at [`P99_TARGET_MULTIPLE`] times steady state),
-/// then each chaos scenario.
-pub fn run_suite_sim(base: &SimConfig, protected: bool, smoke: bool) -> ChaosReport {
-    let suite = chaos_suite(base, smoke);
-    let steady = &suite[0];
-    debug_assert_eq!(steady.name, "steady");
-    let bootstrap = SloTarget {
+/// Runs `suite` on one engine: the steady scenario first, against an
+/// unbounded p99 target, then every other scenario against
+/// [`P99_TARGET_MULTIPLE`] times steady's p99. `run` grades one scenario
+/// against a target and returns its card, the engine's metrics (if it
+/// keeps any) and its flight dumps.
+pub fn run_suite(
+    suite: &[ChaosScenario],
+    mut run: impl FnMut(
+        &ChaosScenario,
+        SloTarget,
+    ) -> (SloCard, Option<Metrics>, Vec<(String, FlightDump)>),
+) -> ChaosReport {
+    let mut target = SloTarget {
         p99_ms: f64::INFINITY,
         availability: AVAILABILITY_TARGET,
     };
-    let (steady_card, steady_m, steady_dumps) =
-        run_chaos_scenario_sim(base, steady, protected, bootstrap);
-    let target = SloTarget {
-        p99_ms: P99_TARGET_MULTIPLE * steady_m.p99_response_ms,
-        availability: AVAILABILITY_TARGET,
+    let mut report = ChaosReport {
+        cards: Vec::new(),
+        steady_p99_ms: 0.0,
+        metrics: Vec::new(),
+        flight_dumps: Vec::new(),
     };
-    let mut cards = vec![SloCard {
-        target,
-        ..steady_card
-    }];
-    let steady_p99_ms = steady_m.p99_response_ms;
-    let mut metrics = vec![steady_m];
-    let mut flight_dumps = steady_dumps;
-    for sc in &suite[1..] {
+    for (i, sc) in suite.iter().enumerate() {
+        let (mut card, metrics, dumps) = run(sc, target);
+        if i == 0 {
+            debug_assert_eq!(sc.name, "steady");
+            report.steady_p99_ms = card.p99_ms;
+            target.p99_ms = P99_TARGET_MULTIPLE * card.p99_ms;
+            card.target = target;
+        }
+        report.cards.push(card);
+        report.metrics.extend(metrics);
+        report.flight_dumps.extend(dumps);
+    }
+    report
+}
+
+/// Runs the suite in the simulator (see [`run_suite`]).
+pub fn run_suite_sim(base: &SimConfig, protected: bool, smoke: bool) -> ChaosReport {
+    run_suite(&chaos_suite(base, smoke), |sc, target| {
         let (card, m, dumps) = run_chaos_scenario_sim(base, sc, protected, target);
-        cards.push(card);
-        metrics.push(m);
-        flight_dumps.extend(dumps);
-    }
-    ChaosReport {
-        cards,
-        steady_p99_ms,
-        metrics,
-        flight_dumps,
-    }
+        (card, Some(m), dumps)
+    })
 }
 
 #[cfg(test)]

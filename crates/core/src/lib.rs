@@ -46,5 +46,5 @@ pub use overload::{BreakerConfig, CircuitBreaker, OverloadConfig};
 pub use policy::{decide, decide_probed, Decision, PolicyConfig, RequestView};
 pub use press_sim::{decorrelated_jitter_micros, CrashWindow, FaultInjector, FaultPlan};
 pub use press_trace::{ScenarioOp, ScenarioPlan};
-pub use server::{ClusterSim, Event, Msg, SimWorkload};
+pub use server::{warm_placement, ClusterSim, Event, Msg, SimWorkload};
 pub use version::ServerVersion;

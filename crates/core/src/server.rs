@@ -305,6 +305,37 @@ pub struct ClusterSim {
     flight: Option<Box<FlightRecorder>>,
 }
 
+/// The warm start both engines begin from: each file is placed at a
+/// pseudo-random node (as a random first touch would), while that node's
+/// `cache_bytes` budget lasts. A multiplicative hash rather than
+/// `rank % nodes` keeps the placement realistically uneven: popular files
+/// can cluster on a node, which is exactly what load balancing must
+/// compensate for.
+///
+/// Returns each node's files in insertion order — least popular first, so
+/// the hottest end most recently used — and each file's cacher bitmask.
+pub fn warm_placement(
+    catalog: &FileCatalog,
+    nodes: usize,
+    cache_bytes: u64,
+) -> (Vec<Vec<(FileId, u64)>>, Vec<u128>) {
+    let mut placement: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); nodes];
+    let mut used = vec![0u64; nodes];
+    let mut cachers = vec![0u128; catalog.len()];
+    for (file, size) in catalog.iter() {
+        let node = ((file.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % nodes;
+        if used[node] + size <= cache_bytes {
+            used[node] += size;
+            placement[node].push((file, size));
+            cachers[file.0 as usize] |= 1 << node;
+        }
+    }
+    for files in &mut placement {
+        files.reverse();
+    }
+    (placement, cachers)
+}
+
 impl ClusterSim {
     /// Builds the cluster with warm (pre-filled) caches.
     pub(crate) fn new(params: RunParams, source: SimWorkload, cache_bytes: u64, seed: u64) -> Self {
@@ -317,36 +348,17 @@ impl ClusterSim {
             );
         }
         let catalog = source.catalog();
-        let num_files = catalog.len();
         let mut nodes: Vec<Node> = (0..n)
             .map(|i| Node::new(NodeId(i as u16), cache_bytes))
             .collect();
-        let mut cachers = vec![0u128; num_files];
-        let mut ever_requested = vec![false; num_files];
-
-        // Warm the caches: place each file at a pseudo-random node (as a
-        // random first-touch would), inserting each node's share from
-        // least to most popular so the hottest files end most recently
-        // used. A multiplicative hash rather than `rank % n` keeps the
-        // placement realistically uneven: popular files can cluster on a
-        // node, which is exactly what load balancing must compensate for.
-        let mut assigned: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); n];
-        let mut used = vec![0u64; n];
-        for (file, size) in catalog.iter() {
-            let node = ((file.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-            if used[node] + size <= cache_bytes {
-                used[node] += size;
-                assigned[node].push((file, size));
-            }
-        }
-        for (node, files) in assigned.into_iter().enumerate() {
-            for &(file, size) in files.iter().rev() {
+        let (placement, cachers) = warm_placement(catalog, n, cache_bytes);
+        for (node, files) in placement.into_iter().enumerate() {
+            for (file, size) in files {
                 let evicted = nodes[node].cache.insert(file, size);
                 debug_assert!(evicted.is_empty());
-                cachers[file.0 as usize] |= 1 << node;
-                ever_requested[file.0 as usize] = true;
             }
         }
+        let ever_requested = cachers.iter().map(|&c| c != 0).collect();
 
         let rmw_queues = if params.cost.supports_rmw {
             params.version.rmw_queues(n)

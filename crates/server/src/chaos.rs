@@ -14,10 +14,8 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use press_core::chaos::{
-    chaos_suite, ChaosReport, ChaosScenario, SloCard, SloTarget, AVAILABILITY_TARGET,
-    P99_TARGET_MULTIPLE,
-};
+use press_collect::DetRng;
+use press_core::chaos::{chaos_suite, run_suite, ChaosReport, ChaosScenario, SloCard, SloTarget};
 use press_core::{OverloadConfig, ScenarioOp, SimConfig};
 use press_telem::{attribute_trace, hot_stages, summarize, FlightDump, FlightRecorder, LiveTracer};
 use press_trace::{FileCatalog, FileId};
@@ -63,14 +61,6 @@ const REQUEST_TIMEOUT: Duration = Duration::from_millis(500);
 /// Hard wall-clock cap per scenario, so an unprotected collapse still
 /// produces a (failing) card instead of hanging the suite.
 const SCENARIO_WALL_CAP: Duration = Duration::from_secs(30);
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A deterministic small catalog for live chaos runs: 512 files with a
 /// spread of sizes (1 KB .. ~49 KB) so caching, forwarding and disk all
@@ -161,7 +151,7 @@ fn run_scenario_live(
         let drift = Arc::clone(&drift);
         let measuring = Arc::clone(&measuring);
         let collected = Arc::clone(&collected);
-        let mut rng = cfg.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rng = DetRng::new(cfg.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let nodes = cfg.nodes;
         handles.push(std::thread::spawn(move || {
             let mut tally = Tally::default();
@@ -178,7 +168,7 @@ fn run_scenario_live(
                     std::thread::sleep(Duration::from_micros(500));
                     continue;
                 }
-                let draw = splitmix64(&mut rng);
+                let draw = rng.next_u64();
                 // ordering: Relaxed — working-set offset; drift lands on
                 // whichever request observes it first, exactness unneeded.
                 let shift = drift.load(Ordering::Relaxed);
@@ -200,9 +190,7 @@ fn run_scenario_live(
                     Err(LiveError::Rejected) => {
                         // Explicit backpressure: back off briefly instead
                         // of hammering the admission gate.
-                        std::thread::sleep(Duration::from_micros(
-                            500 + splitmix64(&mut rng) % 1_500,
-                        ));
+                        std::thread::sleep(Duration::from_micros(500 + rng.next_u64() % 1_500));
                     }
                     Err(LiveError::Timeout) => {
                         if in_window {
@@ -331,9 +319,8 @@ fn run_scenario_live(
     (card, dumps)
 }
 
-/// Runs the suite against the live engine: the steady baseline first
-/// (setting every target at [`P99_TARGET_MULTIPLE`] times its p99), then
-/// each chaos scenario on a fresh cluster.
+/// Runs the suite against the live engine, each scenario on a fresh
+/// cluster (see [`press_core::chaos::run_suite`]).
 pub fn run_suite_live(cfg: &LiveChaosConfig) -> ChaosReport {
     // The suite's triggers and client counts are derived through the same
     // SimConfig shape the simulator uses, so both engines agree on where
@@ -344,34 +331,10 @@ pub fn run_suite_live(cfg: &LiveChaosConfig) -> ChaosReport {
     shape.warmup_requests = cfg.warmup;
     shape.measure_requests = cfg.measure;
     shape.seed = cfg.seed;
-    let suite = chaos_suite(&shape, cfg.smoke);
-
-    let bootstrap = SloTarget {
-        p99_ms: f64::INFINITY,
-        availability: AVAILABILITY_TARGET,
-    };
-    let (steady_card, steady_dumps) = run_scenario_live(cfg, &suite[0], bootstrap);
-    let steady_p99 = steady_card.p99_ms;
-    let target = SloTarget {
-        p99_ms: P99_TARGET_MULTIPLE * steady_p99,
-        availability: AVAILABILITY_TARGET,
-    };
-    let mut cards = vec![SloCard {
-        target,
-        ..steady_card
-    }];
-    let mut flight_dumps = steady_dumps;
-    for sc in &suite[1..] {
+    run_suite(&chaos_suite(&shape, cfg.smoke), |sc, target| {
         let (card, dumps) = run_scenario_live(cfg, sc, target);
-        cards.push(card);
-        flight_dumps.extend(dumps);
-    }
-    ChaosReport {
-        cards,
-        steady_p99_ms: steady_p99,
-        metrics: Vec::new(),
-        flight_dumps,
-    }
+        (card, None, dumps)
+    })
 }
 
 #[cfg(test)]

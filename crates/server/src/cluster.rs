@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Sender};
-use press_core::{FaultPlan, OverloadConfig, PolicyConfig};
+use press_core::{warm_placement, FaultPlan, OverloadConfig, PolicyConfig};
 use press_telem::{lane, LiveTracer, Trace};
 use press_trace::{FileCatalog, FileId};
 use press_via::{
@@ -16,8 +16,8 @@ use press_via::{
 
 use crate::membership::Membership;
 use crate::node::{
-    disk_loop, main_loop, slot_bytes_for, wake_hook, FileTransferMode, MainConfig, NodeCtx,
-    NodeEvent, Reply,
+    disk_loop, slot_bytes_for, wake_hook, FileTransferMode, MainConfig, NodeCtx, NodeEvent,
+    NodeState, Reply,
 };
 use crate::stats::ServerStats;
 use crate::wire::{HEADER_BYTES, RING_TRAILER_BYTES};
@@ -43,7 +43,7 @@ pub struct LiveConfig {
     /// RDMA-write the load table after this many main-loop events.
     pub load_write_period: u32,
     /// How file data travels back to the initial node: regular messages
-    /// (V0–V2) or remote writes into polled circular buffers (V3–V5).
+    /// (V0–V2) or remote writes into polled circular buffers (V3–V6).
     pub file_transfer: FileTransferMode,
     /// Doorbell coalescing for the V6 fast path: sends are staged into a
     /// lock-free slab pool and posted `doorbell_batch` descriptors per
@@ -51,7 +51,8 @@ pub struct LiveConfig {
     /// individually and allocates no pool — the pre-V6 path, unchanged.
     pub doorbell_batch: u32,
     /// Base deadline for a forwarded request's reply before it is retried
-    /// against another live cacher (doubles per attempt, capped at 8×).
+    /// against another live cacher. Later attempts wait a seeded
+    /// decorrelated-jitter deadline in `[base, 8 * base]`.
     pub retry_timeout: Duration,
     /// Retries before a forwarded request is served locally instead.
     pub max_retries: u32,
@@ -390,23 +391,8 @@ impl LiveCluster {
             }
         }
 
-        // Shared initial placement: hash files across nodes (identical to
-        // the simulator's warm start).
-        let mut prefill: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); n];
-        let mut used = vec![0u64; n];
-        let mut cachers = vec![0u128; catalog.len()];
-        for (file, size) in catalog.iter() {
-            let node = ((file.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-            if used[node] + size <= cfg.cache_bytes {
-                used[node] += size;
-                prefill[node].push((file, size));
-                cachers[file.0 as usize] |= 1 << node;
-            }
-        }
-        // Most popular inserted last => most recently used.
-        for p in &mut prefill {
-            p.reverse();
-        }
+        // The simulator's warm start, so both engines begin alike.
+        let (mut prefill, cachers) = warm_placement(&catalog, n, cfg.cache_bytes);
 
         // Snapshot every node's view of peer rings before rows are moved
         // into node contexts.
@@ -481,7 +467,8 @@ impl LiveCluster {
                 std::thread::Builder::new()
                     .name(format!("press{i}-main"))
                     .spawn(move || {
-                        main_loop(ctx, main_cfg, main_rx, cq, node_prefill, node_cachers)
+                        NodeState::new(ctx, main_cfg, main_rx, cq, &node_prefill, node_cachers)
+                            .run()
                     })
                     .expect("spawn main"),
             );

@@ -3,6 +3,15 @@
 //! disk thread. Figure 2's send and receive helper threads are folded
 //! into the main thread (the crate docs say why); the NIC engine wakes a
 //! parked main thread through [`wake_hook`].
+//!
+//! The main thread's state is one [`NodeState`], with one method per
+//! event. Each request path is written once: `forward` sends every
+//! attempt of a forwarded request, `serve_local` answers from the cache
+//! or queues a disk read (for a local client, a failover, or a peer's
+//! forward), and `complete_forward` finishes a forward whether its data
+//! came as a message or in a file ring. Every attempt's `Retry` or
+//! `Failover` chains to the previous attempt's send, so a request's
+//! causal chain reaches back to its `Arrive`.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -211,31 +220,29 @@ pub(crate) struct MainConfig {
     pub tree_caching: bool,
 }
 
-/// What to do when a disk read completes. Each waiter carries the trace
-/// request id and causal parent span so the completion events stitch to
-/// the request chain that queued the read.
-enum DiskWaiter {
-    ReplyLocal {
-        reply: Sender<Reply>,
-        treq: u64,
-        parent: u32,
-    },
-    SendBack {
-        to: usize,
-        token: u64,
-        parent: u32,
-    },
+/// Who gets a file once this node has it, with the trace request id and
+/// causal parent span its completion events chain to.
+struct Waiter {
+    req: u64,
+    parent: u32,
+    to: ReplyTo,
 }
 
-/// One file's outstanding disk read plus everyone waiting on it.
+/// Where a served file goes.
+enum ReplyTo {
+    /// A client of this node.
+    Client(Sender<Reply>),
+    /// Back to the peer that forwarded the request; the wire token is
+    /// the waiter's `req`.
+    Peer(usize),
+}
+
+/// One file's outstanding disk read plus everyone waiting on it. The
+/// first waiter issued the read; later ones piggy-back on it.
 struct DiskWait {
     /// Tracer nanoseconds when the read was queued (0 when tracing off).
     start_ns: u64,
-    /// Trace request id / causal parent of the waiter that triggered the
-    /// read (later waiters piggy-back on the same platter access).
-    req: u64,
-    parent: u32,
-    waiters: Vec<DiskWaiter>,
+    waiters: Vec<Waiter>,
 }
 
 /// A forwarded request awaiting its file data, with the recovery state
@@ -252,6 +259,9 @@ struct Pending {
     /// Stable trace request id: retries mint fresh wire tokens, but the
     /// request's spans all carry the id assigned at client arrival.
     trace_req: u64,
+    /// The latest attempt's `ViaSend` span: a `Retry` or `Failover`
+    /// names it as parent, so the chain walks back to `Arrive`.
+    span: u32,
 }
 
 /// Seeded decorrelated-jitter backoff (mirrors the simulator's
@@ -269,711 +279,698 @@ fn breaker_allows(breakers: &[CircuitBreaker], peer: usize, now_micros: u64) -> 
     breakers.is_empty() || breakers[peer].allow(now_micros)
 }
 
-/// The main thread: parses requests, decides locally-vs-forward, tracks
-/// pending forwards, posts through its [`Outbox`] and drains its
-/// completion queue. It parks only on its event channel, never on I/O.
-pub(crate) fn main_loop(
+/// The main thread's state: it parses requests, decides locally-vs-
+/// forward, manages the cache, tracks pending forwards, posts through its
+/// [`Outbox`] and drains its completion queue. [`NodeState::run`] feeds
+/// it one event per loop pass; each kind of event has its own method.
+pub(crate) struct NodeState {
     ctx: Arc<NodeCtx>,
     cfg: MainConfig,
     events: Receiver<NodeEvent>,
     cq: CompletionQueue,
-    prefill: Vec<(FileId, u64)>,
-    initial_cachers: Vec<u128>,
-) {
-    let mut cache = FileCache::new(cfg.cache_bytes);
-    for &(file, size) in &prefill {
-        cache.insert(file, size);
-    }
-    let mut cachers = initial_cachers;
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    let mut waiting_disk: HashMap<FileId, DiskWait> = HashMap::new();
-    let mut load: u32 = 0;
-    let mut next_token: u64 = (ctx.id as u64) << 48 | 1;
-    let mut events_since_load_write = 0u32;
-    // Set while fault injection has this node down: every event except
-    // Recover/Shutdown is discarded, like a host that stopped executing.
-    let mut crashed = false;
-    // Peer loads as last observed; refreshed from the RDMA region.
-    let mut loads = vec![0u32; ctx.nodes];
-    // Per-peer circuit breakers (empty when overload protection is off,
-    // so the protection-off build never touches them). Breaker time is
-    // micros since the loop started — monotonic, per-node, and never
-    // compared across nodes.
-    let t0 = Instant::now();
-    let mut breakers: Vec<CircuitBreaker> = if cfg.overload.enabled {
-        vec![CircuitBreaker::new(cfg.overload.breaker); ctx.nodes]
-    } else {
-        Vec::new()
-    };
+    cache: FileCache,
+    /// Per file, the bitmask of nodes believed to cache it.
+    cachers: Vec<u128>,
+    /// Forwarded requests awaiting file data, by wire token.
+    pending: HashMap<u64, Pending>,
+    waiting_disk: HashMap<FileId, DiskWait>,
+    /// Requests open on this node: the admission bound's count and the
+    /// load peers see.
+    load: u32,
+    /// Peer loads as last observed; refreshed from the RDMA region.
+    loads: Vec<u32>,
+    /// Loads are read on every dispatch, into this one buffer.
+    load_bytes: Vec<u8>,
+    /// Per-peer circuit breakers (empty when overload protection is off,
+    /// so the protection-off build never touches them).
+    breakers: Vec<CircuitBreaker>,
+    /// Breaker time is micros since `t0` — monotonic, per-node, and never
+    /// compared across nodes.
+    t0: Instant,
+    next_token: u64,
+    events_since_load_write: u32,
+    /// Set while fault injection has this node down: every event except
+    /// Recover/Shutdown is discarded, like a host that stopped executing.
+    crashed: bool,
+    out: Outbox,
+    /// Messages the completion-queue drain decoded, behind the channel
+    /// events it moved here first (see `take_events`); a pass takes from
+    /// here before it reads the event channel.
+    inbox: VecDeque<NodeEvent>,
+    cq_consumed: Vec<u32>,
+    ring_expected: Vec<u64>,
+    ring_consumed: Vec<u32>,
+}
 
-    // Loads are read on every dispatch, into one buffer allocated here.
-    let mut load_bytes = vec![0u8; 4 * ctx.nodes];
-    let mut read_loads = |own: u32, loads: &mut Vec<u32>| {
-        if ctx
-            .nic
-            .read_region_into(ctx.load_region, 0, &mut load_bytes)
-            .is_ok()
-        {
-            for (i, chunk) in load_bytes.chunks_exact(4).enumerate() {
-                loads[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
+impl NodeState {
+    pub(crate) fn new(
+        ctx: Arc<NodeCtx>,
+        cfg: MainConfig,
+        events: Receiver<NodeEvent>,
+        cq: CompletionQueue,
+        prefill: &[(FileId, u64)],
+        cachers: Vec<u128>,
+    ) -> NodeState {
+        let mut cache = FileCache::new(cfg.cache_bytes);
+        for &(file, size) in prefill {
+            cache.insert(file, size);
         }
-        loads[ctx.id] = own;
-    };
-
-    let mut out = Outbox::new(Arc::clone(&ctx));
-    // Messages the completion-queue drain decoded, behind the channel
-    // events it moved here first (see `take_events`); a pass takes from
-    // here before it reads the event channel.
-    let mut inbox: VecDeque<NodeEvent> = VecDeque::new();
-    let mut cq_consumed = vec![0u32; ctx.nodes];
-    let mut ring_expected = vec![1u64; ctx.nodes];
-    let mut ring_consumed = vec![0u32; ctx.nodes];
-    // The tick only bounds how late a retry deadline is noticed. Nothing
-    // else waits for it: every completion, disk read and landed ring
-    // write wakes the loop.
-    let tick = Duration::from_millis(1);
-    loop {
-        let event = match inbox.pop_front() {
-            Some(ev) => Some(ev),
-            None => match events.try_recv() {
-                Ok(ev) => Some(ev),
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => {
-                    // Drain-on-idle batching: ring every staged doorbell
-                    // before parking, so a batch only coalesces messages
-                    // that were already queued and a lone message never
-                    // waits for a later one.
-                    out.flush_all();
-                    match events.recv_timeout(tick) {
-                        Ok(ev) => Some(ev),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
+        let n = ctx.nodes;
+        NodeState {
+            cache,
+            cachers,
+            pending: HashMap::new(),
+            waiting_disk: HashMap::new(),
+            load: 0,
+            loads: vec![0; n],
+            load_bytes: vec![0; 4 * n],
+            breakers: if cfg.overload.enabled {
+                vec![CircuitBreaker::new(cfg.overload.breaker); n]
+            } else {
+                Vec::new()
             },
-        };
-        // Neither a wake-up nor a peer reset advances the load-write
-        // cadence, so load writes per request do not depend on how many
-        // wake-ups the completions raised.
-        let got_event = event
-            .as_ref()
-            .is_some_and(|ev| !matches!(ev, NodeEvent::Wake | NodeEvent::ResetPeer { .. }));
-        if let Some(event) = event {
+            t0: Instant::now(),
+            next_token: (ctx.id as u64) << 48 | 1,
+            events_since_load_write: 0,
+            crashed: false,
+            out: Outbox::new(Arc::clone(&ctx)),
+            inbox: VecDeque::new(),
+            cq_consumed: vec![0; n],
+            ring_expected: vec![1; n],
+            ring_consumed: vec![0; n],
+            ctx,
+            cfg,
+            events,
+            cq,
+        }
+    }
+
+    /// The main loop. It parks only on its event channel, never on I/O.
+    pub(crate) fn run(mut self) {
+        // The tick only bounds how late a retry deadline is noticed.
+        // Nothing else waits for it: every completion, disk read and
+        // landed ring write wakes the loop.
+        let tick = Duration::from_millis(1);
+        loop {
+            let event = match self.inbox.pop_front() {
+                Some(ev) => Some(ev),
+                None => match self.events.try_recv() {
+                    Ok(ev) => Some(ev),
+                    Err(TryRecvError::Disconnected) => break,
+                    Err(TryRecvError::Empty) => {
+                        // Drain-on-idle batching: ring every staged
+                        // doorbell before parking, so a batch only
+                        // coalesces messages that were already queued and
+                        // a lone message never waits for a later one.
+                        self.out.flush_all();
+                        match self.events.recv_timeout(tick) {
+                            Ok(ev) => Some(ev),
+                            Err(RecvTimeoutError::Timeout) => None,
+                            Err(RecvTimeoutError::Disconnected) => break,
+                        }
+                    }
+                },
+            };
+            // Neither a wake-up nor a peer reset advances the load-write
+            // cadence, so load writes per request do not depend on how
+            // many wake-ups the completions raised.
+            let got_event = event
+                .as_ref()
+                .is_some_and(|ev| !matches!(ev, NodeEvent::Wake | NodeEvent::ResetPeer { .. }));
             match event {
-                NodeEvent::Shutdown => break,
-                NodeEvent::Crash => {
-                    if !crashed {
-                        crashed = true;
-                        // Everything in flight on this host is gone.
-                        let lost = pending.len()
-                            // press::allow(hash-iter): commutative sum —
-                            // the visit order cannot reach the total.
-                            + waiting_disk.values().map(|w| w.waiters.len()).sum::<usize>();
-                        ServerStats::add(&ctx.stats.requests_lost, lost as u64);
-                        pending.clear();
-                        waiting_disk.clear();
-                        // A restarted host comes back with a cold cache,
-                        // and no longer serves the files it used to hold.
-                        cache = FileCache::new(cfg.cache_bytes);
-                        let bit = 1u128 << ctx.id;
-                        for c in cachers.iter_mut() {
-                            *c &= !bit;
-                        }
-                        load = 0;
-                    }
-                }
-                NodeEvent::Recover => {
-                    crashed = false;
-                }
-                NodeEvent::ResetPeer { peer } => out.reset_peer(peer),
-                NodeEvent::Wake => {}
-                _ if crashed => {
-                    // A dead host executes nothing. Client requests routed
-                    // here before the membership change are lost (their
-                    // reply channel drops).
-                    if matches!(event, NodeEvent::Client { .. }) {
-                        ServerStats::bump(&ctx.stats.requests_lost);
-                    }
-                }
-                NodeEvent::Client {
-                    file,
-                    reply,
-                    deadline,
-                } => {
-                    let ov = &cfg.overload;
-                    let admission_full =
-                        ov.enabled && ov.admission_limit > 0 && load >= ov.admission_limit;
-                    // A request whose remaining budget cannot cover even
-                    // the modeled service time is rejected now, while it
-                    // is cheap, rather than after consuming resources.
-                    let hopeless = !admission_full
-                        && ov.enabled
-                        && deadline.is_some_and(|dl| {
-                            let est = if cache.contains(file) {
-                                Duration::ZERO
-                            } else {
-                                Duration::from_micros(ov.service_estimate_micros)
-                            };
-                            Instant::now() + est > dl
-                        });
-                    if admission_full || hopeless {
-                        ServerStats::bump(if admission_full {
-                            &ctx.stats.shed_admission
-                        } else {
-                            &ctx.stats.shed_deadline
-                        });
-                        let _ = reply.send(Reply::Shed);
-                    } else {
-                        load += 1;
-                        let bytes = cfg.catalog.size(file);
-                        // Every admitted request gets a token: forwards use
-                        // it on the wire, and it keys the request's trace
-                        // spans on every node it touches.
-                        let treq = next_token;
-                        next_token += 1;
-                        let arrive_span =
-                            ctx.trace_event(EventKind::Arrive, treq, file.0 as u64, bytes);
-                        read_loads(load, &mut loads);
-                        // Crashed peers drop out of the candidate set the
-                        // moment the membership view changes, whatever the
-                        // dissemination strategy populated `cachers` with.
-                        let live = ctx.membership.snapshot().1 as u128;
-                        let file_cachers = cachers[file.0 as usize] & live;
-                        let decision = decide(
-                            &cfg.policy,
-                            &RequestView {
-                                initial: NodeId(ctx.id as u16),
-                                file_bytes: bytes,
-                                cached_locally: cache.contains(file),
-                                first_request: cachers[file.0 as usize] == 0,
-                                cachers: file_cachers,
-                                loads: &loads,
-                                load_balancing: true,
-                            },
-                        );
-                        // The breaker says a peer stopped answering:
-                        // steer to the best admissible alternative
-                        // cacher, or absorb the work locally rather than
-                        // feed a black hole.
-                        let now_us = t0.elapsed().as_micros() as u64;
-                        let (decision, diverted) = policy::divert(
-                            decision,
-                            NodeId(ctx.id as u16),
-                            file_cachers,
-                            view_load(&loads),
-                            |i| breaker_allows(&breakers, i as usize, now_us),
-                        );
-                        if diverted {
-                            ServerStats::bump(&ctx.stats.breaker_diverts);
-                        }
-                        match decision {
-                            Decision::ServeLocal => {
-                                let disp = ctx.trace_event_in(
-                                    EventKind::Dispatch,
-                                    treq,
-                                    0,
-                                    ctx.id as u64,
-                                    arrive_span,
-                                );
-                                if cache.touch(file) {
-                                    let hit = ctx.trace_event_in(
-                                        EventKind::CacheHit,
-                                        treq,
-                                        file.0 as u64,
-                                        bytes,
-                                        disp,
-                                    );
-                                    send_reply(&ctx.stats, &reply, file, bytes);
-                                    ctx.trace_event_in(
-                                        EventKind::Done,
-                                        treq,
-                                        file.0 as u64,
-                                        bytes,
-                                        hit,
-                                    );
-                                    load = load.saturating_sub(1);
-                                } else {
-                                    enqueue_disk(
-                                        &cfg,
-                                        &ctx,
-                                        &mut waiting_disk,
-                                        file,
-                                        bytes,
-                                        treq,
-                                        disp,
-                                        DiskWaiter::ReplyLocal {
-                                            reply,
-                                            treq,
-                                            parent: disp,
-                                        },
-                                    );
-                                }
-                            }
-                            Decision::Forward(target) => {
-                                let disp = ctx.trace_event_in(
-                                    EventKind::Dispatch,
-                                    treq,
-                                    1,
-                                    target.0 as u64,
-                                    arrive_span,
-                                );
-                                // The token minted at arrival doubles as
-                                // the first attempt's wire token.
-                                let token = treq;
-                                let send_span = ctx.trace_event_in(
-                                    EventKind::ViaSend,
-                                    treq,
-                                    bytes,
-                                    target.0 as u64,
-                                    disp,
-                                );
-                                pending.insert(
-                                    token,
-                                    Pending {
-                                        reply,
-                                        file,
-                                        target: target.0 as usize,
-                                        attempt: 0,
-                                        deadline: retry_deadline(
-                                            Instant::now(),
-                                            cfg.retry_timeout,
-                                            cfg.jitter_seed,
-                                            token,
-                                            0,
-                                        ),
-                                        trace_req: treq,
-                                    },
-                                );
-                                if !breakers.is_empty() {
-                                    breakers[target.0 as usize]
-                                        .on_send(t0.elapsed().as_micros() as u64);
-                                }
-                                ServerStats::bump(&ctx.stats.forward_msgs);
-                                ServerStats::bump(&ctx.stats.forwarded);
-                                out.send(
-                                    target.0 as usize,
-                                    WireMsg {
-                                        kind: WireKind::Forward,
-                                        file,
-                                        token,
-                                        sender_load: load,
-                                        parent_span: send_span,
-                                        payload: Vec::new(),
-                                    },
-                                    true,
-                                );
-                            }
-                        }
-                    }
-                }
-                NodeEvent::Invalidate { file } => {
-                    // The old bytes are stale everywhere: drop our cached
-                    // copy and forget who else held one (their copies are
-                    // being dropped by the same broadcast).
-                    if cache.remove(file) {
-                        ServerStats::bump(&ctx.stats.invalidations);
-                    }
-                    cachers[file.0 as usize] = 0;
-                }
-                NodeEvent::Remote { from, msg } => {
-                    // Piggy-backed load keeps our view of the sender fresh
-                    // even between RDMA load writes.
-                    loads[from] = msg.sender_load;
-                    match msg.kind {
-                        WireKind::Forward => {
-                            let file = msg.file;
-                            let bytes = cfg.catalog.size(file);
-                            // Stitch to the origin's ViaSend span via the
-                            // message's wire-carried causal context.
-                            let recv = ctx.trace_event_in(
-                                EventKind::ViaRecv,
-                                msg.token,
-                                file.0 as u64,
-                                from as u64,
-                                msg.parent_span,
-                            );
-                            if cache.touch(file) {
-                                let hit = ctx.trace_event_in(
-                                    EventKind::CacheHit,
-                                    msg.token,
-                                    file.0 as u64,
-                                    bytes,
-                                    recv,
-                                );
-                                send_file_back(
-                                    &ctx, &mut out, from, msg.token, file, bytes, load, hit,
-                                );
-                            } else {
-                                enqueue_disk(
-                                    &cfg,
-                                    &ctx,
-                                    &mut waiting_disk,
-                                    file,
-                                    bytes,
-                                    msg.token,
-                                    recv,
-                                    DiskWaiter::SendBack {
-                                        to: from,
-                                        token: msg.token,
-                                        parent: recv,
-                                    },
-                                );
-                            }
-                        }
-                        WireKind::FileData => {
-                            // Replies to retried tokens already removed
-                            // from `pending` (first answer won) fall
-                            // through harmlessly.
-                            if let Some(p) = pending.remove(&msg.token) {
-                                if !breakers.is_empty() {
-                                    breakers[p.target].record_success();
-                                }
-                                let bytes = p.file.0 as u64;
-                                let recv = ctx.trace_event_in(
-                                    EventKind::ViaRecv,
-                                    p.trace_req,
-                                    bytes,
-                                    from as u64,
-                                    msg.parent_span,
-                                );
-                                let _ = p.reply.send(Reply::Data(msg.payload));
-                                // The forwarded request is no longer open
-                                // on this node; without this the load
-                                // counter (and the admission bound fed by
-                                // it) ratchets upward forever.
-                                load = load.saturating_sub(1);
-                                ctx.trace_event_in(EventKind::Done, p.trace_req, bytes, 0, recv);
-                            }
-                        }
-                        WireKind::Caching => {
-                            // Low byte: 0 = now caches, 1 = evicted. High
-                            // bits: origin+1 when tree-routed (0 = legacy
-                            // flat send, where the sender IS the origin).
-                            let action = msg.token & 0xFF;
-                            let origin_enc = msg.token >> 8;
-                            let origin = if origin_enc == 0 {
-                                from
-                            } else {
-                                (origin_enc - 1) as usize
-                            };
-                            let bit = 1u128 << origin;
-                            if action == 0 {
-                                cachers[msg.file.0 as usize] |= bit;
-                            } else {
-                                cachers[msg.file.0 as usize] &= !bit;
-                            }
-                            if origin_enc != 0 {
-                                tree_caching_fanout(
-                                    &ctx,
-                                    &mut out,
-                                    msg.file,
-                                    msg.token,
-                                    msg.sender_load,
-                                    origin,
-                                );
-                            }
-                        }
-                        // Flow is consumed by the completion-queue drain.
-                        WireKind::Flow => {}
-                    }
-                }
-                NodeEvent::DiskDone { file } => {
-                    let bytes = cfg.catalog.size(file);
-                    let wait = waiting_disk.remove(&file);
-                    // Charge the whole disk residency (enqueue to
-                    // completion) as one span on the request that caused
-                    // the read; piggy-backed waiters chain off it too.
-                    if let (Some(t), Some(w)) = (&ctx.trace, &wait) {
-                        t.span_in(
-                            w.start_ns,
-                            EventKind::DiskRead,
-                            w.req,
-                            file.0 as u64,
-                            bytes,
-                            w.parent,
-                        );
-                    }
-                    // Cache the file and broadcast the caching information
-                    // (insertion plus any evictions), as in Section 2.2.
-                    let evicted = cache.insert(file, bytes);
-                    let bit = 1u128 << ctx.id;
-                    cachers[file.0 as usize] |= bit;
-                    broadcast_caching(&ctx, &mut out, file, 0, load, cfg.tree_caching);
-                    for ev in evicted {
-                        cachers[ev.0 as usize] &= !bit;
-                        broadcast_caching(&ctx, &mut out, ev, 1, load, cfg.tree_caching);
-                    }
-                    for waiter in wait.map(|w| w.waiters).unwrap_or_default() {
-                        match waiter {
-                            DiskWaiter::ReplyLocal {
-                                reply,
-                                treq,
-                                parent,
-                            } => {
-                                send_reply(&ctx.stats, &reply, file, bytes);
-                                load = load.saturating_sub(1);
-                                ctx.trace_event_in(
-                                    EventKind::Done,
-                                    treq,
-                                    file.0 as u64,
-                                    bytes,
-                                    parent,
-                                );
-                            }
-                            DiskWaiter::SendBack { to, token, parent } => {
-                                send_file_back(
-                                    &ctx, &mut out, to, token, file, bytes, load, parent,
-                                );
-                            }
-                        }
-                    }
+                Some(NodeEvent::Shutdown) => break,
+                Some(event) => self.handle(event),
+                None => {}
+            }
+            // Clear the wake flag before draining: any completion or ring
+            // write after this finds it clear and queues a fresh `Wake`.
+            // ordering: Acquire — pairs with `wake_hook`'s Release swap,
+            // so every completion or write whose hook saw the flag set is
+            // visible.
+            self.ctx.wake_pending.swap(false, Ordering::Acquire);
+            drain_cq(
+                &self.ctx,
+                &self.cq,
+                &self.events,
+                &mut self.out,
+                &mut self.cq_consumed,
+                &mut self.inbox,
+            );
+            if self.ctx.file_mode == FileTransferMode::RemoteWrite {
+                self.poll_file_rings();
+            }
+            if !self.pending.is_empty() && !self.crashed {
+                self.retry_expired();
+            }
+            // Periodic load dissemination through remote memory writes:
+            // no receiver involvement, overwritable — the paper's ideal
+            // use.
+            if got_event && !self.crashed {
+                self.events_since_load_write += 1;
+                if self.events_since_load_write >= self.cfg.load_write_period {
+                    self.events_since_load_write = 0;
+                    self.out.rdma_load(self.load);
                 }
             }
         }
-        // Clear the wake flag before draining: any completion or ring
-        // write after this finds it clear and queues a fresh `Wake`.
-        // ordering: Acquire — pairs with `wake_hook`'s Release swap, so
-        // every completion or write whose hook saw the flag set is visible.
-        ctx.wake_pending.swap(false, Ordering::Acquire);
-        drain_cq(&ctx, &cq, &events, &mut out, &mut cq_consumed, &mut inbox);
-        // Poll the RMW file rings at the end of the main server loop, as
-        // in the paper: consume every entry whose sequence number landed.
-        // A crashed node still advances sequence numbers (entries vanish
-        // into the dead host) so the rings stay aligned for recovery, but
-        // it returns no credits and completes nothing.
-        if ctx.file_mode == FileTransferMode::RemoteWrite {
-            poll_file_rings(
-                &ctx,
-                &mut out,
-                &mut ring_expected,
-                &mut ring_consumed,
-                &mut pending,
-                &mut breakers,
-                &mut load,
-                crashed,
-            );
+        // Drain whatever is still staged so no slab slot leaks its
+        // in-flight mark across shutdown.
+        self.out.flush_all();
+    }
+
+    fn handle(&mut self, event: NodeEvent) {
+        match event {
+            NodeEvent::Crash => self.on_crash(),
+            NodeEvent::Recover => self.crashed = false,
+            NodeEvent::ResetPeer { peer } => self.out.reset_peer(peer),
+            NodeEvent::Wake | NodeEvent::Shutdown => {}
+            // A dead host executes nothing. Client requests routed here
+            // before the membership change are lost (their reply channel
+            // drops).
+            NodeEvent::Client { .. } if self.crashed => {
+                ServerStats::bump(&self.ctx.stats.requests_lost);
+            }
+            _ if self.crashed => {}
+            NodeEvent::Client {
+                file,
+                reply,
+                deadline,
+            } => self.on_client(file, reply, deadline),
+            NodeEvent::Invalidate { file } => {
+                // The old bytes are stale everywhere: drop our cached copy
+                // and forget who else held one (their copies are being
+                // dropped by the same broadcast).
+                if self.cache.remove(file) {
+                    ServerStats::bump(&self.ctx.stats.invalidations);
+                }
+                self.cachers[file.0 as usize] = 0;
+            }
+            NodeEvent::Remote { from, msg } => self.on_remote(from, msg),
+            NodeEvent::DiskDone { file } => self.on_disk_done(file),
         }
-        // Forwarded requests whose service node stopped answering: retry
-        // against the next-best live cacher with decorrelated-jitter
-        // backoff, then fall back to local service.
-        if !pending.is_empty() && !crashed {
-            let now = Instant::now();
-            let mut expired: Vec<u64> = pending
-                // press::allow(hash-iter): sorted below — tokens are
-                // issued monotonically, so retries run in arrival order
-                // regardless of hash order.
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(&t, _)| t)
-                .collect();
-            expired.sort_unstable();
-            let now_us = t0.elapsed().as_micros() as u64;
-            let live = ctx.membership.snapshot().1 as u128;
-            for token in expired {
-                let Some(p) = pending.remove(&token) else {
-                    continue;
-                };
-                // A missed deadline is the breaker's failure signal:
-                // enough of them in a row opens the peer's breaker and
-                // new forwards steer around it until a probe succeeds.
-                if !breakers.is_empty() && p.target != ctx.id {
-                    breakers[p.target].record_failure(now_us);
-                }
-                let admits = |i: u16| breaker_allows(&breakers, i as usize, now_us);
-                let target = if p.attempt >= cfg.max_retries {
-                    None
+    }
+
+    fn on_crash(&mut self) {
+        if self.crashed {
+            return;
+        }
+        self.crashed = true;
+        // Everything in flight on this host is gone.
+        let lost = self.pending.len()
+            // press::allow(hash-iter): commutative sum — the visit order
+            // cannot reach the total.
+            + self.waiting_disk.values().map(|w| w.waiters.len()).sum::<usize>();
+        ServerStats::add(&self.ctx.stats.requests_lost, lost as u64);
+        self.pending.clear();
+        self.waiting_disk.clear();
+        // A restarted host comes back with a cold cache, and no longer
+        // serves the files it used to hold.
+        self.cache = FileCache::new(self.cfg.cache_bytes);
+        let bit = 1u128 << self.ctx.id;
+        for c in self.cachers.iter_mut() {
+            *c &= !bit;
+        }
+        self.load = 0;
+    }
+
+    /// A client request arrived: shed it, serve it here, or forward it.
+    fn on_client(&mut self, file: FileId, reply: Sender<Reply>, deadline: Option<Instant>) {
+        let ov = &self.cfg.overload;
+        let admission_full =
+            ov.enabled && ov.admission_limit > 0 && self.load >= ov.admission_limit;
+        // A request whose remaining budget cannot cover even the modeled
+        // service time is rejected now, while it is cheap, rather than
+        // after consuming resources.
+        let hopeless = !admission_full
+            && ov.enabled
+            && deadline.is_some_and(|dl| {
+                let est = if self.cache.contains(file) {
+                    Duration::ZERO
                 } else {
-                    read_loads(load, &mut loads);
-                    let others =
-                        cachers[p.file.0 as usize] & live & !(1 << ctx.id) & !(1 << p.target);
-                    policy::least_loaded(others, view_load(&loads), admits)
-                        .map(|n| usize::from(n.0))
-                        // No alternative cacher, but the target still
-                        // looks alive: the *message* may have been lost
-                        // rather than the node — retransmit to the same
-                        // peer (backoff rising) until retries run out or
-                        // the membership evicts it. Only the live node
-                        // does this; the sim fails over.
-                        .or((p.target != ctx.id
-                            && live & (1 << p.target) != 0
-                            && admits(p.target as u16))
-                        .then_some(p.target))
+                    Duration::from_micros(ov.service_estimate_micros)
                 };
-                let bytes = cfg.catalog.size(p.file);
-                let Some(target) = target else {
-                    // Out of options elsewhere: serve from our own cache
-                    // or disk so the client still gets an answer.
-                    ServerStats::bump(&ctx.stats.failovers);
-                    let fo = ctx.trace_event(
-                        EventKind::Failover,
-                        p.trace_req,
-                        p.file.0 as u64,
-                        p.attempt as u64,
-                    );
-                    if cache.touch(p.file) {
-                        send_reply(&ctx.stats, &p.reply, p.file, bytes);
-                        load = load.saturating_sub(1);
-                        ctx.trace_event_in(
-                            EventKind::Done,
-                            p.trace_req,
-                            p.file.0 as u64,
-                            bytes,
-                            fo,
-                        );
-                    } else {
-                        enqueue_disk(
-                            &cfg,
-                            &ctx,
-                            &mut waiting_disk,
-                            p.file,
-                            bytes,
-                            p.trace_req,
-                            fo,
-                            DiskWaiter::ReplyLocal {
-                                reply: p.reply,
-                                treq: p.trace_req,
-                                parent: fo,
-                            },
-                        );
-                    }
-                    continue;
-                };
-                ServerStats::bump(&ctx.stats.retries);
-                let attempt = p.attempt + 1;
-                let token = next_token;
-                next_token += 1;
-                // The wire token changes on retry, but the trace
-                // request id stays stable so all attempts stitch into
-                // one causal chain.
-                let retry_span =
-                    ctx.trace_event(EventKind::Retry, p.trace_req, attempt as u64, target as u64);
-                let send_span = ctx.trace_event_in(
-                    EventKind::ViaSend,
-                    p.trace_req,
-                    0,
-                    target as u64,
-                    retry_span,
-                );
-                pending.insert(
-                    token,
-                    Pending {
-                        reply: p.reply,
-                        file: p.file,
-                        target,
-                        attempt,
-                        deadline: retry_deadline(
-                            now,
-                            cfg.retry_timeout,
-                            cfg.jitter_seed,
-                            token,
-                            attempt,
-                        ),
-                        trace_req: p.trace_req,
-                    },
-                );
-                if !breakers.is_empty() {
-                    breakers[target].on_send(now_us);
-                }
-                ServerStats::bump(&ctx.stats.forward_msgs);
-                out.send(
-                    target,
+                Instant::now() + est > dl
+            });
+        if admission_full || hopeless {
+            ServerStats::bump(if admission_full {
+                &self.ctx.stats.shed_admission
+            } else {
+                &self.ctx.stats.shed_deadline
+            });
+            let _ = reply.send(Reply::Shed);
+            return;
+        }
+        self.load += 1;
+        let id = self.ctx.id;
+        let bytes = self.cfg.catalog.size(file);
+        // Every admitted request gets a token: forwards use it on the
+        // wire, and it keys the request's trace spans on every node it
+        // touches.
+        let treq = self.next_token;
+        self.next_token += 1;
+        let arrive = self
+            .ctx
+            .trace_event(EventKind::Arrive, treq, file.0 as u64, bytes);
+        self.read_loads();
+        // Crashed peers drop out of the candidate set the moment the
+        // membership view changes, whatever the dissemination strategy
+        // populated `cachers` with.
+        let live = self.ctx.membership.snapshot().1 as u128;
+        let file_cachers = self.cachers[file.0 as usize] & live;
+        let decision = decide(
+            &self.cfg.policy,
+            &RequestView {
+                initial: NodeId(id as u16),
+                file_bytes: bytes,
+                cached_locally: self.cache.contains(file),
+                first_request: self.cachers[file.0 as usize] == 0,
+                cachers: file_cachers,
+                loads: &self.loads,
+                load_balancing: true,
+            },
+        );
+        // The breaker says a peer stopped answering: steer to the best
+        // admissible alternative cacher, or absorb the work locally
+        // rather than feed a black hole.
+        let now_us = self.t0.elapsed().as_micros() as u64;
+        let (decision, diverted) = policy::divert(
+            decision,
+            NodeId(id as u16),
+            file_cachers,
+            view_load(&self.loads),
+            |i| breaker_allows(&self.breakers, i as usize, now_us),
+        );
+        if diverted {
+            ServerStats::bump(&self.ctx.stats.breaker_diverts);
+        }
+        match decision {
+            Decision::ServeLocal => {
+                let parent =
+                    self.ctx
+                        .trace_event_in(EventKind::Dispatch, treq, 0, id as u64, arrive);
+                self.serve_local(file, treq, parent, ReplyTo::Client(reply));
+            }
+            Decision::Forward(target) => {
+                let target = usize::from(target.0);
+                let disp =
+                    self.ctx
+                        .trace_event_in(EventKind::Dispatch, treq, 1, target as u64, arrive);
+                ServerStats::bump(&self.ctx.stats.forwarded);
+                self.forward(reply, file, treq, target, 0, disp);
+            }
+        }
+    }
+
+    /// Sends attempt `attempt` of a client request to `target` and tracks
+    /// it until its file data comes back or its deadline passes.
+    fn forward(
+        &mut self,
+        reply: Sender<Reply>,
+        file: FileId,
+        trace_req: u64,
+        target: usize,
+        attempt: u32,
+        parent: u32,
+    ) {
+        // The token minted at arrival doubles as the first attempt's wire
+        // token; a retry mints a fresh one, so a late answer to an
+        // abandoned attempt finds no pending entry. Only the first
+        // attempt's send span records the file size.
+        let (token, size) = if attempt == 0 {
+            (trace_req, self.cfg.catalog.size(file))
+        } else {
+            self.next_token += 1;
+            (self.next_token - 1, 0)
+        };
+        let span =
+            self.ctx
+                .trace_event_in(EventKind::ViaSend, trace_req, size, target as u64, parent);
+        let deadline = retry_deadline(
+            Instant::now(),
+            self.cfg.retry_timeout,
+            self.cfg.jitter_seed,
+            token,
+            attempt,
+        );
+        self.pending.insert(
+            token,
+            Pending {
+                reply,
+                file,
+                target,
+                attempt,
+                deadline,
+                trace_req,
+                span,
+            },
+        );
+        if let Some(b) = self.breakers.get_mut(target) {
+            b.on_send(self.t0.elapsed().as_micros() as u64);
+        }
+        ServerStats::bump(&self.ctx.stats.forward_msgs);
+        self.out.send(
+            target,
+            WireMsg {
+                kind: WireKind::Forward,
+                file,
+                token,
+                sender_load: self.load,
+                parent_span: span,
+                payload: Vec::new(),
+            },
+            true,
+        );
+    }
+
+    /// Sends `file` to `to` from the cache, or queues a disk read for it.
+    /// `req` and `parent` are the trace request id and causal parent the
+    /// completion events chain to.
+    fn serve_local(&mut self, file: FileId, req: u64, parent: u32, to: ReplyTo) {
+        let bytes = self.cfg.catalog.size(file);
+        if self.cache.touch(file) {
+            let parent =
+                self.ctx
+                    .trace_event_in(EventKind::CacheHit, req, file.0 as u64, bytes, parent);
+            self.answer(file, bytes, Waiter { req, parent, to });
+        } else {
+            self.enqueue_disk(file, bytes, Waiter { req, parent, to });
+        }
+    }
+
+    /// Hands `file`, now in this node's cache, to `w`.
+    fn answer(&mut self, file: FileId, bytes: u64, w: Waiter) {
+        match w.to {
+            ReplyTo::Client(reply) => {
+                ServerStats::bump(&self.ctx.stats.served_local);
+                let _ = reply.send(Reply::Data(file_contents(file, bytes as usize)));
+                self.load = self.load.saturating_sub(1);
+                self.ctx
+                    .trace_event_in(EventKind::Done, w.req, file.0 as u64, bytes, w.parent);
+            }
+            ReplyTo::Peer(to) => {
+                ServerStats::bump(&self.ctx.stats.file_msgs);
+                // The send span becomes the wire-carried causal context,
+                // so the origin's ViaRecv stitches straight onto this
+                // node's chain.
+                let span =
+                    self.ctx
+                        .trace_event_in(EventKind::ViaSend, w.req, bytes, to as u64, w.parent);
+                self.out.send(
+                    to,
                     WireMsg {
-                        kind: WireKind::Forward,
-                        file: p.file,
-                        token,
-                        sender_load: load,
-                        parent_span: send_span,
-                        payload: Vec::new(),
+                        kind: WireKind::FileData,
+                        file,
+                        token: w.req,
+                        sender_load: self.load,
+                        parent_span: span,
+                        payload: file_contents(file, bytes as usize),
                     },
                     true,
                 );
             }
         }
-        // Periodic load dissemination through remote memory writes: no
-        // receiver involvement, overwritable — the paper's ideal use.
-        if got_event && !crashed {
-            events_since_load_write += 1;
-            if events_since_load_write >= cfg.load_write_period {
-                events_since_load_write = 0;
-                out.rdma_load(load);
+    }
+
+    /// Queues a waiter on an in-flight (or newly issued) disk read. The
+    /// first waiter for a file actually issues the read and owns the
+    /// trace context the eventual `DiskRead` span is charged to.
+    fn enqueue_disk(&mut self, file: FileId, bytes: u64, w: Waiter) {
+        use std::collections::hash_map::Entry;
+        match self.waiting_disk.entry(file) {
+            Entry::Occupied(mut e) => e.get_mut().waiters.push(w),
+            Entry::Vacant(e) => {
+                e.insert(DiskWait {
+                    start_ns: self.ctx.trace.as_ref().map(|t| t.now_ns()).unwrap_or(0),
+                    waiters: vec![w],
+                });
+                ServerStats::bump(&self.ctx.stats.disk_reads);
+                let _ = self.cfg.disk_tx.send((file, bytes));
             }
         }
     }
-    // Drain whatever is still staged so no slab slot leaks its in-flight
-    // mark across shutdown.
-    out.flush_all();
-}
 
-/// Drains every inbound file ring: reads the sequence number at each
-/// slot's last bytes, and when the next expected number has landed,
-/// consumes the entry (completing the pending client request) and
-/// returns credits in batches. This is PRESS's version-3 receive path:
-/// no completion is involved, and the rings' write hook only wakes the
-/// main loop so that this poll runs.
-#[allow(clippy::too_many_arguments)]
-fn poll_file_rings(
-    ctx: &NodeCtx,
-    out: &mut Outbox,
-    expected: &mut [u64],
-    consumed: &mut [u32],
-    pending: &mut HashMap<u64, Pending>,
-    breakers: &mut [CircuitBreaker],
-    load: &mut u32,
-    crashed: bool,
-) {
-    for src in 0..ctx.nodes {
-        let Some(ring) = ctx.own_rings[src] else {
-            continue;
-        };
-        loop {
-            let slot = ((expected[src] - 1) % ctx.window as u64) as usize;
-            let trailer_off = slot * ctx.ring_slot_bytes + ctx.ring_slot_bytes - RING_TRAILER_BYTES;
-            let mut trailer = [0u8; RING_TRAILER_BYTES];
-            if ctx
-                .nic
-                .read_region_into(ring, trailer_off, &mut trailer)
-                .is_err()
-            {
-                break;
+    fn on_remote(&mut self, from: usize, msg: WireMsg) {
+        // Piggy-backed load keeps our view of the sender fresh even
+        // between RDMA load writes.
+        self.loads[from] = msg.sender_load;
+        match msg.kind {
+            WireKind::Forward => {
+                // Stitch to the origin's ViaSend span via the message's
+                // wire-carried causal context.
+                let parent = self.ctx.trace_event_in(
+                    EventKind::ViaRecv,
+                    msg.token,
+                    msg.file.0 as u64,
+                    from as u64,
+                    msg.parent_span,
+                );
+                self.serve_local(msg.file, msg.token, parent, ReplyTo::Peer(from));
             }
-            let Some((len, token, parent, seq)) = decode_ring_trailer(&trailer) else {
-                break;
-            };
-            if seq != expected[src] {
-                break;
+            WireKind::FileData => {
+                self.complete_forward(msg.token, from, msg.payload, msg.parent_span);
             }
-            expected[src] += 1;
-            if crashed {
-                // Sequence advances, data is lost, no credits flow back:
-                // the sender sees a peer that stopped consuming.
-                consumed[src] = 0;
-                continue;
-            }
-            let Ok(payload) = ctx.nic.read_region(ring, slot * ctx.ring_slot_bytes, len) else {
-                ServerStats::bump(&ctx.stats.via_errors);
-                continue;
-            };
-            if let Some(p) = pending.remove(&token) {
-                if !breakers.is_empty() {
-                    breakers[p.target].record_success();
+            WireKind::Caching => {
+                // Low byte: 0 = now caches, 1 = evicted. High bits:
+                // origin+1 when tree-routed (0 = legacy flat send, where
+                // the sender IS the origin).
+                let action = msg.token & 0xFF;
+                let origin_enc = msg.token >> 8;
+                let origin = if origin_enc == 0 {
+                    from
+                } else {
+                    (origin_enc - 1) as usize
+                };
+                let bit = 1u128 << origin;
+                if action == 0 {
+                    self.cachers[msg.file.0 as usize] |= bit;
+                } else {
+                    self.cachers[msg.file.0 as usize] &= !bit;
                 }
+                if origin_enc != 0 {
+                    tree_caching_fanout(
+                        &self.ctx,
+                        &mut self.out,
+                        msg.file,
+                        msg.token,
+                        msg.sender_load,
+                        origin,
+                    );
+                }
+            }
+            // Flow is consumed by the completion-queue drain.
+            WireKind::Flow => {}
+        }
+    }
+
+    /// A forwarded request's file data arrived from `from`, by message or
+    /// in a file ring, stitched to the sender's span `parent`. Replies to
+    /// retried tokens already removed from `pending` (first answer won)
+    /// fall through harmlessly.
+    fn complete_forward(&mut self, token: u64, from: usize, payload: Vec<u8>, parent: u32) {
+        let Some(p) = self.pending.remove(&token) else {
+            return;
+        };
+        if let Some(b) = self.breakers.get_mut(p.target) {
+            b.record_success();
+        }
+        let file = p.file.0 as u64;
+        let bytes = payload.len() as u64;
+        let recv =
+            self.ctx
+                .trace_event_in(EventKind::ViaRecv, p.trace_req, file, from as u64, parent);
+        let _ = p.reply.send(Reply::Data(payload));
+        // The forwarded request is no longer open on this node; without
+        // this the load counter (and the admission bound fed by it)
+        // ratchets upward forever.
+        self.load = self.load.saturating_sub(1);
+        self.ctx
+            .trace_event_in(EventKind::Done, p.trace_req, file, bytes, recv);
+    }
+
+    fn on_disk_done(&mut self, file: FileId) {
+        let bytes = self.cfg.catalog.size(file);
+        let waiters = match self.waiting_disk.remove(&file) {
+            Some(wait) => {
+                // Charge the whole disk residency (enqueue to completion)
+                // as one span on the request that caused the read;
+                // piggy-backed waiters chain off it too.
+                if let (Some(t), Some(w)) = (&self.ctx.trace, wait.waiters.first()) {
+                    t.span_in(
+                        wait.start_ns,
+                        EventKind::DiskRead,
+                        w.req,
+                        file.0 as u64,
+                        bytes,
+                        w.parent,
+                    );
+                }
+                wait.waiters
+            }
+            None => Vec::new(),
+        };
+        // Cache the file and broadcast the caching information (insertion
+        // plus any evictions), as in Section 2.2.
+        let evicted = self.cache.insert(file, bytes);
+        let bit = 1u128 << self.ctx.id;
+        self.cachers[file.0 as usize] |= bit;
+        let (load, tree) = (self.load, self.cfg.tree_caching);
+        broadcast_caching(&self.ctx, &mut self.out, file, 0, load, tree);
+        for ev in evicted {
+            self.cachers[ev.0 as usize] &= !bit;
+            broadcast_caching(&self.ctx, &mut self.out, ev, 1, load, tree);
+        }
+        for w in waiters {
+            self.answer(file, bytes, w);
+        }
+    }
+
+    /// Forwarded requests whose service node stopped answering: retry
+    /// against the next-best live cacher with decorrelated-jitter
+    /// backoff, then fall back to local service.
+    fn retry_expired(&mut self) {
+        let now = Instant::now();
+        let mut expired: Vec<u64> = self
+            .pending
+            // press::allow(hash-iter): sorted below — tokens are issued
+            // monotonically, so retries run in arrival order regardless of
+            // hash order.
+            .iter()
+            .filter(|(_, p)| p.deadline <= now)
+            .map(|(&t, _)| t)
+            .collect();
+        expired.sort_unstable();
+        let now_us = self.t0.elapsed().as_micros() as u64;
+        let id = self.ctx.id;
+        let live = self.ctx.membership.snapshot().1 as u128;
+        for token in expired {
+            let Some(p) = self.pending.remove(&token) else {
+                continue;
+            };
+            // A missed deadline is the breaker's failure signal: enough of
+            // them in a row opens the peer's breaker and new forwards
+            // steer around it until a probe succeeds.
+            if !self.breakers.is_empty() && p.target != id {
+                self.breakers[p.target].record_failure(now_us);
+            }
+            let target = if p.attempt >= self.cfg.max_retries {
+                None
+            } else {
+                self.read_loads();
+                let admits = |i: u16| breaker_allows(&self.breakers, i as usize, now_us);
+                let others = self.cachers[p.file.0 as usize] & live & !(1 << id) & !(1 << p.target);
+                policy::least_loaded(others, view_load(&self.loads), admits)
+                    .map(|n| usize::from(n.0))
+                    // No alternative cacher, but the target still looks
+                    // alive: the *message* may have been lost rather than
+                    // the node — retransmit to the same peer (backoff
+                    // rising) until retries run out or the membership
+                    // evicts it. Only the live node does this; the sim
+                    // fails over.
+                    .or(
+                        (p.target != id && live & (1 << p.target) != 0 && admits(p.target as u16))
+                            .then_some(p.target),
+                    )
+            };
+            let (file, req) = (p.file.0 as u64, p.trace_req);
+            match target {
+                // Out of options elsewhere: serve from our own cache or
+                // disk so the client still gets an answer.
+                None => {
+                    ServerStats::bump(&self.ctx.stats.failovers);
+                    let parent = self.ctx.trace_event_in(
+                        EventKind::Failover,
+                        req,
+                        file,
+                        p.attempt as u64,
+                        p.span,
+                    );
+                    self.serve_local(p.file, req, parent, ReplyTo::Client(p.reply));
+                }
+                Some(target) => {
+                    ServerStats::bump(&self.ctx.stats.retries);
+                    let attempt = p.attempt + 1;
+                    // The wire token changes on retry, but the trace
+                    // request id stays stable so all attempts stitch into
+                    // one causal chain.
+                    let retry = self.ctx.trace_event_in(
+                        EventKind::Retry,
+                        req,
+                        attempt as u64,
+                        target as u64,
+                        p.span,
+                    );
+                    self.forward(p.reply, p.file, req, target, attempt, retry);
+                }
+            }
+        }
+    }
+
+    /// Drains every inbound file ring: reads the sequence number at each
+    /// slot's last bytes, and when the next expected number has landed,
+    /// consumes the entry (completing the pending client request) and
+    /// returns credits in batches. This is PRESS's version-3 receive
+    /// path, run at the end of every loop pass as in the paper: no
+    /// completion is involved, and the rings' write hook only wakes the
+    /// main loop so that this poll runs. A crashed node still advances
+    /// sequence numbers (entries vanish into the dead host) so the rings
+    /// stay aligned for recovery, but it returns no credits and completes
+    /// nothing.
+    fn poll_file_rings(&mut self) {
+        let (window, slot_bytes) = (self.ctx.window as u64, self.ctx.ring_slot_bytes);
+        for src in 0..self.ctx.nodes {
+            let Some(ring) = self.ctx.own_rings[src] else {
+                continue;
+            };
+            loop {
+                let slot = ((self.ring_expected[src] - 1) % window) as usize;
+                let trailer_off = slot * slot_bytes + slot_bytes - RING_TRAILER_BYTES;
+                let mut trailer = [0u8; RING_TRAILER_BYTES];
+                if self
+                    .ctx
+                    .nic
+                    .read_region_into(ring, trailer_off, &mut trailer)
+                    .is_err()
+                {
+                    break;
+                }
+                let Some((len, token, parent, seq)) = decode_ring_trailer(&trailer) else {
+                    break;
+                };
+                if seq != self.ring_expected[src] {
+                    break;
+                }
+                self.ring_expected[src] += 1;
+                if self.crashed {
+                    // Sequence advances, data is lost, no credits flow
+                    // back: the sender sees a peer that stopped consuming.
+                    self.ring_consumed[src] = 0;
+                    continue;
+                }
+                let Ok(payload) = self.ctx.nic.read_region(ring, slot * slot_bytes, len) else {
+                    ServerStats::bump(&self.ctx.stats.via_errors);
+                    continue;
+                };
                 // The ring trailer carried the remote sender's span id:
                 // stitch the zero-copy arrival into the causal chain.
-                let recv = ctx.trace_event_in(
-                    EventKind::ViaRecv,
-                    p.trace_req,
-                    len as u64,
-                    src as u64,
-                    parent,
-                );
-                let _ = p.reply.send(Reply::Data(payload));
-                // Forward completed: close it out of the load counter.
-                *load = (*load).saturating_sub(1);
-                ctx.trace_event_in(EventKind::Done, p.trace_req, len as u64, 0, recv);
+                self.complete_forward(token, src, payload, parent);
+                return_credits(&self.ctx, &mut self.out, src, &mut self.ring_consumed[src]);
             }
-            return_credits(ctx, out, src, &mut consumed[src]);
         }
+    }
+
+    /// Refreshes `loads` from this node's RDMA-written load table.
+    fn read_loads(&mut self) {
+        let ctx = &self.ctx;
+        if ctx
+            .nic
+            .read_region_into(ctx.load_region, 0, &mut self.load_bytes)
+            .is_ok()
+        {
+            for (i, chunk) in self.load_bytes.chunks_exact(4).enumerate() {
+                self.loads[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+        }
+        self.loads[ctx.id] = self.load;
     }
 }
 
@@ -997,72 +994,6 @@ fn return_credits(ctx: &NodeCtx, out: &mut Outbox, peer: usize, consumed: &mut u
             false,
         );
     }
-}
-
-fn send_reply(stats: &ServerStats, reply: &Sender<Reply>, file: FileId, bytes: u64) {
-    ServerStats::bump(&stats.served_local);
-    let _ = reply.send(Reply::Data(file_contents(file, bytes as usize)));
-}
-
-/// Queues a waiter on an in-flight (or newly issued) disk read. The
-/// first waiter for a file actually issues the read and owns the trace
-/// context the eventual `DiskRead` span is charged to; later waiters
-/// piggy-back on that read (and chain their own completion events off
-/// the same span).
-#[allow(clippy::too_many_arguments)]
-fn enqueue_disk(
-    cfg: &MainConfig,
-    ctx: &NodeCtx,
-    waiting: &mut HashMap<FileId, DiskWait>,
-    file: FileId,
-    bytes: u64,
-    treq: u64,
-    parent: u32,
-    waiter: DiskWaiter,
-) {
-    use std::collections::hash_map::Entry;
-    match waiting.entry(file) {
-        Entry::Occupied(mut e) => e.get_mut().waiters.push(waiter),
-        Entry::Vacant(e) => {
-            e.insert(DiskWait {
-                start_ns: ctx.trace.as_ref().map(|t| t.now_ns()).unwrap_or(0),
-                req: treq,
-                parent,
-                waiters: vec![waiter],
-            });
-            ServerStats::bump(&ctx.stats.disk_reads);
-            let _ = cfg.disk_tx.send((file, bytes));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn send_file_back(
-    ctx: &NodeCtx,
-    out: &mut Outbox,
-    to: usize,
-    token: u64,
-    file: FileId,
-    bytes: u64,
-    load: u32,
-    parent: u32,
-) {
-    ServerStats::bump(&ctx.stats.file_msgs);
-    // The send span becomes the wire-carried causal context, so the
-    // origin's ViaRecv stitches straight onto this node's chain.
-    let send_span = ctx.trace_event_in(EventKind::ViaSend, token, bytes, to as u64, parent);
-    out.send(
-        to,
-        WireMsg {
-            kind: WireKind::FileData,
-            file,
-            token,
-            sender_load: load,
-            parent_span: send_span,
-            payload: file_contents(file, bytes as usize),
-        },
-        true,
-    );
 }
 
 fn broadcast_caching(

@@ -289,3 +289,53 @@ fn live_forwarded_request_stitches_one_cross_node_trace() {
         "chain must cross the forward: {chain:?}"
     );
 }
+
+#[test]
+fn live_failed_over_request_chains_back_to_arrive() {
+    const NODES: usize = 4;
+    let catalog = FileCatalog::from_sizes(vec![2048; 64]);
+    let cfg = LiveConfig {
+        nodes: NODES,
+        retry_timeout: Duration::from_millis(20),
+        max_retries: 2,
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start_with_tracer(cfg, catalog, Some(LiveTracer::new()));
+
+    // Fail-silent: node 1 drops traffic but stays in the membership, so
+    // every attempt for a node-1 file goes back to it until the request
+    // fails over to the initial node's disk.
+    let file = (0..64u32)
+        .map(FileId)
+        .find(|&f| placement(f, NODES) == 1)
+        .expect("some file hashes to node 1");
+    cluster.hang_node(1);
+    let data = cluster
+        .request(0, file, Duration::from_secs(10))
+        .expect("failed-over request completes");
+    assert_eq!(data.len(), 2048);
+
+    let trace = cluster.shutdown_traced().expect("tracer was on");
+    let requests = by_request(&trace);
+    let events = requests
+        .values()
+        .find(|evs| evs.iter().any(|e| e.kind == EventKind::Failover))
+        .expect("the request failed over");
+    let done = events
+        .iter()
+        .find(|e| e.kind == EventKind::Done)
+        .expect("completed request has a Done");
+    let kinds: Vec<EventKind> = chain_to_root(&trace, done.span)
+        .iter()
+        .map(|e| e.kind)
+        .collect();
+    assert_eq!(
+        kinds.first(),
+        Some(&EventKind::Arrive),
+        "the chain must cross every attempt back to the arrival: {kinds:?}"
+    );
+    assert!(
+        kinds.contains(&EventKind::Retry) && kinds.contains(&EventKind::Failover),
+        "retries and the failover sit on the chain: {kinds:?}"
+    );
+}
