@@ -162,10 +162,12 @@ pub struct LiveCluster {
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     load_handles: Vec<MemHandle>,
-    /// NICs must outlive the node threads (dropping a NIC kills its engine).
+    /// NICs must outlive the node threads (a dropped NIC's VIs take no
+    /// more posts).
     nics: Vec<Arc<press_via::Nic>>,
-    /// Wall-clock tracer shared by every node thread and NIC engine;
-    /// None unless tracing was requested at start.
+    /// Wall-clock tracer shared by every node thread and NIC (whose
+    /// events the posting node threads record); None unless tracing was
+    /// requested at start.
     tracer: Option<Arc<LiveTracer>>,
 }
 
@@ -307,8 +309,8 @@ impl LiveCluster {
             })
             .collect();
 
-        // Event channels, unbounded: the NIC engine runs the wake hook,
-        // which must never block.
+        // Event channels, unbounded: a peer's main thread runs the wake
+        // hook inside its post, which must never block.
         let (mains, main_rxs): (Vec<Sender<NodeEvent>>, Vec<_>) =
             (0..n).map(|_| unbounded::<NodeEvent>()).unzip();
         // One wake hook per node, shared by its completion queue and its
@@ -668,8 +670,8 @@ impl LiveCluster {
 
     /// Stops the cluster like [`LiveCluster::shutdown`] and returns the
     /// recorded trace (None when tracing was off). Draining happens after
-    /// every node and NIC engine thread has quiesced, so the trace is
-    /// complete and stable.
+    /// every node thread has quiesced, so the trace is complete and
+    /// stable.
     pub fn shutdown_traced(self) -> Option<Trace> {
         self.shutdown_impl()
     }
@@ -685,8 +687,9 @@ impl LiveCluster {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Dropping the NICs joins their engine threads, which establishes
-        // the happens-before edge the ring drain relies on.
+        // Every NIC event was recorded by a node's main thread (the post
+        // runs the transfer), so the joins above establish the
+        // happens-before edge the ring drain relies on.
         self.nics.clear();
         self.tracer.take().map(|t| t.drain())
     }

@@ -18,8 +18,9 @@
 //! separate send and receive helper threads. The paper's V3+ main thread
 //! already polls its receive structures, and on a host with few cores
 //! every hand-off between host threads cost more than the message it
-//! carried, so both helpers are folded into the main thread. The NIC
-//! engine wakes a parked main thread through a hook on its completion
+//! carried, so both helpers are folded into the main thread. The NIC has
+//! no thread either: a post runs its transfer in the posting main thread,
+//! which wakes a parked peer through a hook on the peer's completion
 //! queue and file rings.
 //!
 //! Load information travels exclusively through **remote memory writes**

@@ -1,8 +1,9 @@
 //! The per-node threads of the live server: a non-blocking main thread
 //! that also posts to its VIs and drains its own completion queue, and a
 //! disk thread. Figure 2's send and receive helper threads are folded
-//! into the main thread (the crate docs say why); the NIC engine wakes a
-//! parked main thread through [`wake_hook`].
+//! into the main thread (the crate docs say why). A peer's post, which
+//! runs its transfer on the peer's main thread, wakes a parked main
+//! thread through [`wake_hook`].
 //!
 //! The main thread's state is one [`NodeState`], with one method per
 //! event. Each request path is written once: `forward` sends every
@@ -102,6 +103,14 @@ pub(crate) enum NodeEvent {
     Shutdown,
 }
 
+impl NodeEvent {
+    /// Whether this is a reply to one of our forwards: file data from
+    /// the service node.
+    fn is_reply(&self) -> bool {
+        matches!(self, NodeEvent::Remote { msg, .. } if msg.kind == WireKind::FileData)
+    }
+}
+
 /// A node's VIA resources and fixed configuration.
 pub(crate) struct NodeCtx {
     pub id: usize,
@@ -159,8 +168,9 @@ pub(crate) struct NodeCtx {
 
 /// The wake hook installed on a node's completion queue and on each of
 /// its file rings: a queued completion or landed write queues one
-/// [`NodeEvent::Wake`] unless one is already pending. It never blocks the
-/// NIC engine that runs it: the event channel is unbounded.
+/// [`NodeEvent::Wake`] unless one is already pending. It runs inside the
+/// post that delivered the completion or write, usually on a peer's main
+/// thread, and never blocks it: the event channel is unbounded.
 pub(crate) fn wake_hook(
     pending: Arc<AtomicBool>,
     events: Sender<NodeEvent>,
@@ -372,6 +382,7 @@ impl NodeState {
         // landed ring write wakes the loop.
         let tick = Duration::from_millis(1);
         loop {
+            let mut ticked = false;
             let event = match self.inbox.pop_front() {
                 Some(ev) => Some(ev),
                 None => match self.events.try_recv() {
@@ -385,7 +396,10 @@ impl NodeState {
                         self.out.flush_all();
                         match self.events.recv_timeout(tick) {
                             Ok(ev) => Some(ev),
-                            Err(RecvTimeoutError::Timeout) => None,
+                            Err(RecvTimeoutError::Timeout) => {
+                                ticked = true;
+                                None
+                            }
                             Err(RecvTimeoutError::Disconnected) => break,
                         }
                     }
@@ -407,7 +421,7 @@ impl NodeState {
             // ordering: Acquire — pairs with `wake_hook`'s Release swap,
             // so every completion or write whose hook saw the flag set is
             // visible.
-            self.ctx.wake_pending.swap(false, Ordering::Acquire);
+            let woken = self.ctx.wake_pending.swap(false, Ordering::Acquire);
             drain_cq(
                 &self.ctx,
                 &self.cq,
@@ -416,8 +430,18 @@ impl NodeState {
                 &mut self.cq_consumed,
                 &mut self.inbox,
             );
+            // A reply found after the tick ran out waited for the tick if
+            // no hook ran for it: none since the last drain, and none by
+            // the end of this one (a hook still finishing its post is
+            // late, not missing).
+            let missed = ticked && !woken;
+            let mut found_reply = missed && self.inbox.iter().any(NodeEvent::is_reply);
             if self.ctx.file_mode == FileTransferMode::RemoteWrite {
-                self.poll_file_rings();
+                found_reply |= self.poll_file_rings() && missed;
+            }
+            // ordering: Acquire — as for the swap above.
+            if found_reply && !self.ctx.wake_pending.load(Ordering::Acquire) {
+                ServerStats::bump(&self.ctx.stats.replies_found_by_tick);
             }
             if !self.pending.is_empty() && !self.crashed {
                 self.retry_expired();
@@ -594,17 +618,22 @@ impl NodeState {
     ) {
         // The token minted at arrival doubles as the first attempt's wire
         // token; a retry mints a fresh one, so a late answer to an
-        // abandoned attempt finds no pending entry. Only the first
-        // attempt's send span records the file size.
-        let (token, size) = if attempt == 0 {
-            (trace_req, self.cfg.catalog.size(file))
+        // abandoned attempt finds no pending entry.
+        let token = if attempt == 0 {
+            trace_req
         } else {
             self.next_token += 1;
-            (self.next_token - 1, 0)
+            self.next_token - 1
         };
-        let span =
-            self.ctx
-                .trace_event_in(EventKind::ViaSend, trace_req, size, target as u64, parent);
+        let mut msg = WireMsg {
+            kind: WireKind::Forward,
+            file,
+            token,
+            sender_load: self.load,
+            parent_span: 0,
+            payload: Vec::new(),
+        };
+        msg.parent_span = self.trace_send(&msg, trace_req, target, parent);
         let deadline = retry_deadline(
             Instant::now(),
             self.cfg.retry_timeout,
@@ -621,25 +650,27 @@ impl NodeState {
                 attempt,
                 deadline,
                 trace_req,
-                span,
+                span: msg.parent_span,
             },
         );
         if let Some(b) = self.breakers.get_mut(target) {
             b.on_send(self.t0.elapsed().as_micros() as u64);
         }
         ServerStats::bump(&self.ctx.stats.forward_msgs);
-        self.out.send(
-            target,
-            WireMsg {
-                kind: WireKind::Forward,
-                file,
-                token,
-                sender_load: self.load,
-                parent_span: span,
-                payload: Vec::new(),
-            },
-            true,
-        );
+        self.out.send(target, msg, true);
+    }
+
+    /// Records the `ViaSend` of `msg` to `to` and returns its span, the
+    /// causal context the message carries. Its `a` is the wire size, as
+    /// the simulator records it, on every attempt.
+    fn trace_send(&self, msg: &WireMsg, req: u64, to: usize, parent: u32) -> u32 {
+        self.ctx.trace_event_in(
+            EventKind::ViaSend,
+            req,
+            msg.wire_len() as u64,
+            to as u64,
+            parent,
+        )
     }
 
     /// Sends `file` to `to` from the cache, or queues a disk read for it.
@@ -669,24 +700,19 @@ impl NodeState {
             }
             ReplyTo::Peer(to) => {
                 ServerStats::bump(&self.ctx.stats.file_msgs);
+                let mut msg = WireMsg {
+                    kind: WireKind::FileData,
+                    file,
+                    token: w.req,
+                    sender_load: self.load,
+                    parent_span: 0,
+                    payload: file_contents(file, bytes as usize),
+                };
                 // The send span becomes the wire-carried causal context,
                 // so the origin's ViaRecv stitches straight onto this
                 // node's chain.
-                let span =
-                    self.ctx
-                        .trace_event_in(EventKind::ViaSend, w.req, bytes, to as u64, w.parent);
-                self.out.send(
-                    to,
-                    WireMsg {
-                        kind: WireKind::FileData,
-                        file,
-                        token: w.req,
-                        sender_load: self.load,
-                        parent_span: span,
-                        payload: file_contents(file, bytes as usize),
-                    },
-                    true,
-                );
+                msg.parent_span = self.trace_send(&msg, w.req, to, w.parent);
+                self.out.send(to, msg, true);
             }
         }
     }
@@ -914,8 +940,9 @@ impl NodeState {
     /// main loop so that this poll runs. A crashed node still advances
     /// sequence numbers (entries vanish into the dead host) so the rings
     /// stay aligned for recovery, but it returns no credits and completes
-    /// nothing.
-    fn poll_file_rings(&mut self) {
+    /// nothing. Returns whether it completed any forward.
+    fn poll_file_rings(&mut self) -> bool {
+        let mut completed = false;
         let (window, slot_bytes) = (self.ctx.window as u64, self.ctx.ring_slot_bytes);
         for src in 0..self.ctx.nodes {
             let Some(ring) = self.ctx.own_rings[src] else {
@@ -953,9 +980,11 @@ impl NodeState {
                 // The ring trailer carried the remote sender's span id:
                 // stitch the zero-copy arrival into the causal chain.
                 self.complete_forward(token, src, payload, parent);
+                completed = true;
                 return_credits(&self.ctx, &mut self.out, src, &mut self.ring_consumed[src]);
             }
         }
+        completed
     }
 
     /// Refreshes `loads` from this node's RDMA-written load table.
@@ -1166,8 +1195,10 @@ fn slab_post(
     // in flight whenever the drain reaps it.
     let _ = pool.mark_in_flight(slot);
     if let Err(e) = bell.post(desc) {
-        // Never reached the NIC; unwind the state machine and rejoin the
-        // free list.
+        // Never reached the NIC: a validation error stages nothing, and
+        // the only flush error on a VI attached to a completion queue is
+        // shutdown, after which no flush goes out. Unwind the state
+        // machine and rejoin the free list.
         let _ = pool.mark_complete(slot).and_then(|_| pool.free(slot));
         return Err(e);
     }

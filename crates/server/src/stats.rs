@@ -43,6 +43,11 @@ pub struct ServerStats {
     pub breaker_diverts: AtomicCounter,
     /// Cached copies discarded by mid-run file updates.
     pub invalidations: AtomicCounter,
+    /// Main-loop passes that found a reply to a forward (a file-data
+    /// message or a file-ring entry) only because the 1 ms tick ran out,
+    /// with no wake-up raised for it: each is a reply whose completion or
+    /// ring write failed to wake the loop.
+    pub replies_found_by_tick: AtomicCounter,
 }
 
 impl ServerStats {
@@ -69,7 +74,7 @@ impl ServerStats {
     /// Publishes every counter into a telemetry [`Registry`] under the
     /// `press_live_*` names, with any caller-supplied labels.
     pub fn fill_registry(&self, reg: &mut Registry, labels: &[(&str, &str)]) {
-        let series: [(&str, &AtomicCounter); 17] = [
+        let series: [(&str, &AtomicCounter); 18] = [
             ("press_live_served_local", &self.served_local),
             ("press_live_forwarded", &self.forwarded),
             ("press_live_disk_reads", &self.disk_reads),
@@ -87,6 +92,10 @@ impl ServerStats {
             ("press_live_shed_deadline", &self.shed_deadline),
             ("press_live_breaker_diverts", &self.breaker_diverts),
             ("press_live_invalidations", &self.invalidations),
+            (
+                "press_live_replies_found_by_tick",
+                &self.replies_found_by_tick,
+            ),
         ];
         for (name, c) in series {
             reg.inc(name, labels, c.get());
@@ -116,7 +125,7 @@ mod tests {
         let mut reg = Registry::default();
         s.fill_registry(&mut reg, &[("engine", "live")]);
         let recs = reg.records();
-        assert_eq!(recs.len(), 17);
+        assert_eq!(recs.len(), 18);
         let file_msgs = recs
             .iter()
             .find(|r| r.name == "press_live_file_msgs")

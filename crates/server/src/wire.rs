@@ -62,13 +62,18 @@ pub struct WireMsg {
 }
 
 impl WireMsg {
+    /// Bytes on the wire: header + payload.
+    pub fn wire_len(&self) -> usize {
+        HEADER_BYTES + self.payload.len()
+    }
+
     /// Serializes header + payload into `buf`; returns the total length.
     ///
     /// # Panics
     ///
     /// Panics if `buf` is smaller than header + payload.
     pub fn encode(&self, buf: &mut [u8]) -> usize {
-        let total = HEADER_BYTES + self.payload.len();
+        let total = self.wire_len();
         assert!(buf.len() >= total, "message buffer too small");
         buf[0] = self.kind.code();
         buf[1..4].fill(0);

@@ -420,113 +420,82 @@ fn fast_path_lone_messages_leave_without_waiting_for_a_batch() {
 }
 
 /// Sends 96 sequential byte-checked requests for 2 KiB files to `node`,
-/// once to warm every cache and once timed, and returns the median
-/// latency of the timed requests that `node` forwarded.
-fn median_forwarded_latency(cluster: &LiveCluster, node: usize) -> Duration {
-    let mut forwarded = Vec::new();
-    for pass in 0..2 {
+/// twice (the first pass warms every cache), and checks that `node`
+/// forwarded some of them.
+fn forward_requests(cluster: &LiveCluster, node: usize) {
+    let before = ServerStats::get(&cluster.stats().forwarded);
+    for _ in 0..2 {
         for i in 0..96u32 {
             let file = FileId((i * 7) % 32);
-            let before = ServerStats::get(&cluster.stats().forwarded);
-            let start = Instant::now();
             let data = cluster.request(node, file, T).expect("request");
-            let took = start.elapsed();
             assert_eq!(data, file_contents(file, 2048), "request {i}");
-            if pass == 1 && ServerStats::get(&cluster.stats().forwarded) > before {
-                forwarded.push(took);
-            }
         }
     }
-    assert!(!forwarded.is_empty(), "no forwarding happened");
-    forwarded.sort();
-    forwarded[forwarded.len() / 2]
+    assert!(
+        ServerStats::get(&cluster.stats().forwarded) > before,
+        "no forwarding happened"
+    );
+}
+
+/// Forwards requests from node 0, crashes node 0 as soon as it forwards
+/// one (so that reply lands while it is down), recovers it and forwards
+/// again. No reply may wait for the main loop's 1 ms tick, before the
+/// crash or after the recovery: the wake flag must not stay set across
+/// the outage.
+fn replies_wake_the_main_loop(cluster: LiveCluster) {
+    let tick_found = |c: &LiveCluster| ServerStats::get(&c.stats().replies_found_by_tick);
+    forward_requests(&cluster, 0);
+    assert_eq!(tick_found(&cluster), 0, "a reply waited for the tick");
+    let before = ServerStats::get(&cluster.stats().forwarded);
+    std::thread::scope(|s| {
+        let cluster = &cluster;
+        s.spawn(move || {
+            for f in 0..8 {
+                // The request forwarded at the crash fails; later ones
+                // are steered to a live node.
+                let _ = cluster.request(0, FileId(f), T);
+            }
+        });
+        let start = Instant::now();
+        while ServerStats::get(&cluster.stats().forwarded) == before {
+            assert!(start.elapsed() < T, "node 0 forwarded nothing");
+            std::thread::yield_now();
+        }
+        cluster.crash_node(0);
+    });
+    cluster.recover_node(0);
+    forward_requests(&cluster, 0);
+    assert_eq!(
+        tick_found(&cluster),
+        0,
+        "a reply waited for the tick after crash and recovery"
+    );
+    assert_eq!(ServerStats::get(&cluster.stats().retries), 0);
+    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
 }
 
 #[test]
 fn fast_path_replies_wake_the_main_loop() {
     // A V6 reply is a remote write into the initial node's file ring and
     // raises no message. The ring's write hook must wake the parked main
-    // loop: a reply left for the 1 ms tick would cost a forwarded request
-    // about a millisecond. The median keeps one descheduled request on a
-    // busy host from deciding the outcome.
+    // loop; a reply left for the tick shows in `replies_found_by_tick`.
     let cfg = LiveConfig {
         file_transfer: FileTransferMode::RemoteWrite,
         doorbell_batch: 8,
         ..LiveConfig::default()
     };
-    let cluster = LiveCluster::start(cfg, small_catalog(32, 2048));
-    let bound = Duration::from_micros(500);
-    let warm = median_forwarded_latency(&cluster, 0);
-    assert!(warm < bound, "forwarded median {warm:?} before a crash");
-    // Crash the initial node as soon as it forwards a request, so the
-    // reply lands in its ring while it is down, then bring it back: the
-    // wake flag must not stay set across the outage.
-    let before = ServerStats::get(&cluster.stats().forwarded);
-    std::thread::scope(|s| {
-        let cluster = &cluster;
-        s.spawn(move || {
-            for f in 0..8 {
-                // The request forwarded at the crash fails; later ones
-                // are steered to a live node.
-                let _ = cluster.request(0, FileId(f), T);
-            }
-        });
-        let start = Instant::now();
-        while ServerStats::get(&cluster.stats().forwarded) == before {
-            assert!(start.elapsed() < T, "node 0 forwarded nothing");
-            std::thread::yield_now();
-        }
-        cluster.crash_node(0);
-    });
-    cluster.recover_node(0);
-    let recovered = median_forwarded_latency(&cluster, 0);
-    assert!(
-        recovered < bound,
-        "forwarded median {recovered:?} after crash and recovery"
-    );
-    assert_eq!(ServerStats::get(&cluster.stats().retries), 0);
-    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
+    replies_wake_the_main_loop(LiveCluster::start(cfg, small_catalog(32, 2048)));
 }
 
 #[test]
 fn regular_replies_wake_the_main_loop() {
     // The V0 twin of `fast_path_replies_wake_the_main_loop`: a reply is a
     // regular message, and its receive completion must wake the parked
-    // main loop through the completion queue's wake hook. A reply left
-    // for the 1 ms tick would cost a forwarded request about a
-    // millisecond.
-    let cluster = LiveCluster::start(LiveConfig::default(), small_catalog(32, 2048));
-    let bound = Duration::from_micros(500);
-    let warm = median_forwarded_latency(&cluster, 0);
-    assert!(warm < bound, "forwarded median {warm:?} before a crash");
-    // Crash the initial node as soon as it forwards a request, so the
-    // reply completes while it is down, then bring it back: the wake
-    // flag must not stay set across the outage.
-    let before = ServerStats::get(&cluster.stats().forwarded);
-    std::thread::scope(|s| {
-        let cluster = &cluster;
-        s.spawn(move || {
-            for f in 0..8 {
-                // The request forwarded at the crash fails; later ones
-                // are steered to a live node.
-                let _ = cluster.request(0, FileId(f), T);
-            }
-        });
-        let start = Instant::now();
-        while ServerStats::get(&cluster.stats().forwarded) == before {
-            assert!(start.elapsed() < T, "node 0 forwarded nothing");
-            std::thread::yield_now();
-        }
-        cluster.crash_node(0);
-    });
-    cluster.recover_node(0);
-    let recovered = median_forwarded_latency(&cluster, 0);
-    assert!(
-        recovered < bound,
-        "forwarded median {recovered:?} after crash and recovery"
-    );
-    assert_eq!(ServerStats::get(&cluster.stats().retries), 0);
-    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
+    // main loop through the completion queue's wake hook.
+    replies_wake_the_main_loop(LiveCluster::start(
+        LiveConfig::default(),
+        small_catalog(32, 2048),
+    ));
 }
 
 #[test]

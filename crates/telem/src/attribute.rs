@@ -275,28 +275,45 @@ pub fn attribute_trace(trace: &Trace) -> Vec<RequestAttribution> {
         .collect()
 }
 
-/// Walks the causal chain from `span` to its root via parent links,
-/// returning the events oldest-first. Dangling parents (links into a
-/// dropped buffer tail) end the walk.
-pub fn chain_to_root(trace: &Trace, span: u32) -> Vec<TraceEvent> {
-    let by_span: HashMap<u32, &TraceEvent> = trace
-        .events()
-        .iter()
-        .filter(|e| e.span != 0)
-        .map(|e| (e.span, e))
-        .collect();
-    let mut chain = Vec::new();
-    let mut cur = span;
-    while cur != 0 {
-        let Some(&e) = by_span.get(&cur) else { break };
-        chain.push(*e);
-        if chain.len() > by_span.len() {
-            break; // cycle guard: corrupt input must not hang
+/// Every span of a trace by id, built once: walking many causal chains
+/// then costs one map build, not one per walk.
+#[derive(Debug)]
+pub struct SpanIndex<'a> {
+    by_span: HashMap<u32, &'a TraceEvent>,
+}
+
+impl<'a> SpanIndex<'a> {
+    /// Indexes every event of `trace` that carries a span id.
+    pub fn new(trace: &'a Trace) -> Self {
+        SpanIndex {
+            by_span: trace
+                .events()
+                .iter()
+                .filter(|e| e.span != 0)
+                .map(|e| (e.span, e))
+                .collect(),
         }
-        cur = e.parent;
     }
-    chain.reverse();
-    chain
+
+    /// Walks the causal chain from `span` to its root via parent links,
+    /// returning the events oldest-first. Dangling parents (links into a
+    /// dropped buffer tail) end the walk.
+    pub fn chain(&self, span: u32) -> Vec<TraceEvent> {
+        let mut chain = Vec::new();
+        let mut cur = span;
+        while cur != 0 {
+            let Some(&e) = self.by_span.get(&cur) else {
+                break;
+            };
+            chain.push(*e);
+            if chain.len() > self.by_span.len() {
+                break; // cycle guard: corrupt input must not hang
+            }
+            cur = e.parent;
+        }
+        chain.reverse();
+        chain
+    }
 }
 
 /// Aggregate of many request attributions: integer mean per bucket plus
@@ -496,7 +513,7 @@ mod tests {
         e3.span = 3;
         e3.parent = 2;
         let trace = Trace::from_events(vec![e1, e2, e3], 0);
-        let chain = chain_to_root(&trace, 3);
+        let chain = SpanIndex::new(&trace).chain(3);
         let kinds: Vec<EventKind> = chain.iter().map(|e| e.kind).collect();
         assert_eq!(
             kinds,

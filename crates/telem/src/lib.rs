@@ -44,8 +44,8 @@ mod span;
 mod stats;
 
 pub use attribute::{
-    attribute_request, attribute_trace, by_request, chain_to_root, hot_stages, summarize,
-    AttributionSummary, Bucket, RequestAttribution, BUCKETS, BUCKET_COUNT,
+    attribute_request, attribute_trace, by_request, hot_stages, summarize, AttributionSummary,
+    Bucket, RequestAttribution, SpanIndex, BUCKETS, BUCKET_COUNT,
 };
 pub use chrome::{chrome_trace_json, json_escape, validate_chrome_json, Json, TraceCheck};
 pub use export::{metrics_csv, metrics_json, utilization_csv};

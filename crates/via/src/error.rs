@@ -21,7 +21,7 @@ pub enum ViaError {
     ReceiverNotReady,
     /// Waited too long for a completion.
     Timeout,
-    /// The NIC engine has shut down.
+    /// The NIC has been dropped: its VIs take no more posts.
     Shutdown,
     /// Send and receive descriptors disagree (receive buffer too small).
     RecvBufferTooSmall,
@@ -46,7 +46,7 @@ impl fmt::Display for ViaError {
             ViaError::RemoteWriteForbidden => "remote region does not allow remote writes",
             ViaError::ReceiverNotReady => "peer had no receive descriptor posted",
             ViaError::Timeout => "timed out waiting for completion",
-            ViaError::Shutdown => "nic engine has shut down",
+            ViaError::Shutdown => "nic has shut down",
             ViaError::RecvBufferTooSmall => "receive buffer smaller than incoming message",
             ViaError::PoolExhausted => "slab pool has no free slots",
             ViaError::DoubleFree => "slab slot is already free",

@@ -1,25 +1,27 @@
-//! The in-process fabric: NICs, VIs, completion queues, and the engine
-//! threads that process posted descriptors asynchronously.
+//! The in-process fabric: NICs, VIs and completion queues. A send or
+//! RDMA post runs its transfer in the posting thread, as cLAN's NIC runs
+//! one once its doorbell rings: there is no engine thread to hand it to.
 //!
 //! # Fast-path concurrency (V6)
 //!
 //! The send/recv/completion paths are lock-free: posted receives and
 //! completions travel through [`SpscRing`]s (see `spsc.rs` for the
 //! memory-ordering argument) instead of mutexed queues or channels.
-//! Each ring's producer and consumer are single threads by topology —
-//! one engine thread per NIC, one host loop per endpoint — and the
-//! host side is additionally guarded by an [`OwnerTag`] so a cloned
-//! [`Vi`] shared across threads degrades to serialized access instead
-//! of unsoundness. The control plane (region registration, VI table,
-//! fault configuration) stays behind read-write locks: it is off the
-//! per-message path, and message processing takes only read locks
-//! there. Message payloads move region-to-region in one copy — the
-//! per-send staging allocation of V0–V5 is gone.
+//! Each ring end is held by one thread at a time through an
+//! [`OwnerTag`]: the host's post-receive and reap tags, and one send tag
+//! per VI that every send and RDMA post takes for its whole transfer. A
+//! cloned [`Vi`] shared across threads thus degrades to serialized
+//! access instead of unsoundness. A post never waits for ring space: it
+//! fails with [`ViaError::RingFull`] before transferring anything. The
+//! control plane (region registration, VI table, fault configuration)
+//! stays behind read-write locks: it is off the per-message path, and
+//! message processing takes only read locks there. Message payloads
+//! move region-to-region in one copy — the per-send staging allocation
+//! of V0–V5 is gone.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -32,9 +34,8 @@ use rand::{Rng, SeedableRng};
 use crate::descriptor::MAX_SEGMENTS;
 use crate::descriptor::{Completion, CompletionKind, Descriptor, SgList};
 use crate::error::ViaError;
-use crate::flow::MAX_DOORBELL;
 use crate::mem::{MemHandle, Region, SlabPool};
-use crate::spsc::{OwnerTag, SpscRing};
+use crate::spsc::{OwnerGuard, OwnerTag, SpscRing};
 
 /// Capacity of each VI's posted-receive ring.
 const RECV_RING_CAP: usize = 1024;
@@ -93,99 +94,106 @@ pub struct RemoteBuffer {
     pub offset: usize,
 }
 
-// A SendBatch carries its staged gathers inline: ~1 KiB moved through
-// the channel per doorbell, deliberately, so flushing never allocates.
-#[allow(clippy::large_enum_variant)]
-enum EngineOp {
-    Send {
-        vi: u64,
-        sg: SgList,
-    },
-    SendBatch {
-        vi: u64,
-        sgs: [SgList; MAX_DOORBELL],
-        count: u8,
-    },
-    Rdma {
-        vi: u64,
-        desc: Descriptor,
-        remote: RemoteBuffer,
-    },
-    Stop,
-}
-
 struct ViShared {
     id: u64,
     reliability: Reliability,
-    /// The connected peer, fixed at connect time.
-    peer: Option<(Weak<NicShared>, u64)>,
+    /// The connected peer's NIC and VI id, fixed at connect time.
+    peer: (Weak<NicShared>, u64),
     /// Posted receive descriptors. Producer: the host (guarded by
-    /// `recv_post`); consumer: the peer NIC's engine thread.
+    /// `recv_post`); consumer: the peer VI's send and RDMA posts
+    /// (guarded by the peer's `send_post`).
     recv_ring: SpscRing<Descriptor>,
     recv_post: OwnerTag,
-    /// Send/RDMA completions. Producer: the owning NIC's engine;
-    /// consumer: the host (guarded by `send_reap`).
+    /// Held by every send and RDMA post on this VI for the whole
+    /// transfer: its holder is the only producer of `send_done` and of
+    /// the peer's `recv_done`, and the only consumer of the peer's
+    /// `recv_ring`. VIs connect 1:1, so no other post touches them.
+    send_post: OwnerTag,
+    /// Send/RDMA completions. Producer: this VI's posts (guarded by
+    /// `send_post`); consumer: the host (guarded by `send_reap`).
     send_done: SpscRing<Completion>,
     send_reap: OwnerTag,
-    /// Receive completions. Producer: the peer NIC's engine; consumer:
-    /// the host (guarded by `recv_reap`).
+    /// Receive completions. Producer: the peer VI's sends (guarded by
+    /// the peer's `send_post`); consumer: the host (guarded by
+    /// `recv_reap`).
     recv_done: SpscRing<Completion>,
     recv_reap: OwnerTag,
     /// When attached, completions go to the CQ instead of the VI rings.
     cq: Option<CqSink>,
 }
 
-/// Engine-side ring publish with backpressure: the host reaps within
-/// its flow-control window, so a full ring means the consumer is
-/// merely behind — yield until space opens, bailing out on teardown.
-fn engine_push(nic: &NicShared, ring: &SpscRing<Completion>, c: Completion) {
-    let mut c = c;
-    loop {
-        // SAFETY: each completion ring has exactly one producing engine
-        // thread (own engine for send_done, the single peer's engine
-        // for recv_done); this fn is only called from that thread.
-        match unsafe { ring.push(c) } {
-            Ok(()) => return,
-            Err((_, back)) => {
-                // ordering: Acquire pairs with the Release store in
-                // `Drop for Nic` — don't spin on a ring whose consumer
-                // is being torn down.
-                if nic.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                c = back;
-                // press::allow(blocking-in-hot-path): bounded producer
-                // backoff while the consumer drains the ring — a yield,
-                // not a park, and only on the ring-full slow branch.
-                std::thread::yield_now();
+impl ViShared {
+    fn new(
+        id: u64,
+        reliability: Reliability,
+        peer: (Weak<NicShared>, u64),
+        cq: Option<&CompletionQueue>,
+    ) -> Self {
+        ViShared {
+            id,
+            reliability,
+            peer,
+            recv_ring: SpscRing::with_capacity(RECV_RING_CAP),
+            recv_post: OwnerTag::new(),
+            send_post: OwnerTag::new(),
+            send_done: SpscRing::with_capacity(DONE_RING_CAP),
+            send_reap: OwnerTag::new(),
+            recv_done: SpscRing::with_capacity(DONE_RING_CAP),
+            recv_reap: OwnerTag::new(),
+            cq: cq.map(|c| c.sink.clone()),
+        }
+    }
+
+    /// The connected peer: its NIC and VI, while that NIC is alive.
+    fn peer_ref(&self) -> Option<PeerRef> {
+        let (nic, id) = &self.peer;
+        let peer_nic = nic.upgrade()?;
+        // The VI table is written only by connect, on the control path:
+        // posts only read it, so the read lock is uncontended.
+        let peer_vi = peer_nic.vis.read().get(id).cloned()?;
+        Some((peer_nic, peer_vi))
+    }
+
+    /// Whether `n` more completions fit in `ring`, one of this VI's
+    /// completion rings. A VI attached to a [`CompletionQueue`] always
+    /// has room: its completions go to the unbounded queue instead.
+    fn has_room(&self, ring: &SpscRing<Completion>, n: usize) -> bool {
+        self.cq.is_some() || n <= ring.vacant()
+    }
+
+    /// Delivers a send/RDMA completion. The caller holds this VI's
+    /// `send_post` and checked `has_room` before the transfer.
+    fn complete_send(&self, c: Completion) {
+        match &self.cq {
+            Some(cq) => cq.push(c),
+            None => {
+                // SAFETY: the caller holds `send_post`, which makes it
+                // the ring's sole producer.
+                let pushed = unsafe { self.send_done.push(c) };
+                debug_assert!(pushed.is_ok(), "room was checked before the post");
             }
         }
     }
-}
 
-impl ViShared {
-    /// Engine-side: deliver a send/RDMA completion. `nic` is the NIC
-    /// owning this VI (whose engine is the sole producer).
-    fn complete_send(&self, nic: &NicShared, c: Completion) {
+    /// Delivers a receive completion. The caller holds the peer VI's
+    /// `send_post` and checked `has_room` before the transfer.
+    fn complete_recv(&self, c: Completion) {
         match &self.cq {
             Some(cq) => cq.push(c),
-            None => engine_push(nic, &self.send_done, c),
+            None => {
+                // SAFETY: the caller holds the single peer's
+                // `send_post`, which makes it the ring's sole producer.
+                let pushed = unsafe { self.recv_done.push(c) };
+                debug_assert!(pushed.is_ok(), "room was checked before the post");
+            }
         }
     }
 
-    /// Engine-side: deliver a receive completion. `nic` is the NIC
-    /// owning this VI; the producer is its single peer's engine.
-    fn complete_recv(&self, nic: &NicShared, c: Completion) {
-        match &self.cq {
-            Some(cq) => cq.push(c),
-            None => engine_push(nic, &self.recv_done, c),
-        }
-    }
-
-    /// Engine-side: consume the next posted receive descriptor.
+    /// Consumes the next posted receive descriptor. The caller holds the
+    /// peer VI's `send_post`.
     fn pop_posted_recv(&self) -> Option<Descriptor> {
-        // SAFETY: a VI has exactly one peer, so only that peer NIC's
-        // engine thread (the caller) consumes this ring.
+        // SAFETY: a VI has exactly one peer, and the caller holds that
+        // peer's `send_post`, so it is this ring's sole consumer.
         unsafe { self.recv_ring.pop() }
     }
 }
@@ -195,15 +203,17 @@ struct NicShared {
     name: String,
     regions: RwLock<HashMap<u64, Region>>,
     vis: RwLock<HashMap<u64, Arc<ViShared>>>,
-    ops: Sender<EngineOp>,
     /// Fast-path gate for fault injection: when clear (the default),
     /// `should_drop`/`should_fail` return without touching the mutex.
     fault_active: AtomicBool,
     fault: Mutex<(FaultConfig, StdRng)>,
+    /// Set when the [`Nic`] drops: later posts fail with
+    /// [`ViaError::Shutdown`].
     shutdown: AtomicBool,
     /// Telemetry hook, installed at most once via [`Nic::set_tracer`].
-    /// Posting threads and the engine thread share the handle; when unset
-    /// the instrumentation reduces to one `OnceLock::get` branch.
+    /// Every thread that posts on this NIC's VIs, or on their peers,
+    /// records through it; when unset the instrumentation reduces to one
+    /// `OnceLock::get` branch.
     trace: OnceLock<TraceHandle>,
 }
 
@@ -291,28 +301,20 @@ impl Fabric {
         }
     }
 
-    /// Creates a NIC on this fabric, spawning its engine thread.
+    /// Creates a NIC on this fabric. It starts no thread: each post runs
+    /// its transfer in the posting thread.
     pub fn create_nic(&self, name: &str) -> Nic {
-        let (tx, rx) = unbounded();
-        let shared = Arc::new(NicShared {
-            name: name.to_string(),
-            regions: RwLock::new(HashMap::new()),
-            vis: RwLock::new(HashMap::new()),
-            ops: tx,
-            fault_active: AtomicBool::new(false),
-            fault: Mutex::new((FaultConfig::default(), StdRng::seed_from_u64(0))),
-            shutdown: AtomicBool::new(false),
-            trace: OnceLock::new(),
-        });
-        let engine_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("via-nic-{name}"))
-            .spawn(move || engine_loop(engine_shared, rx))
-            .expect("spawn nic engine thread");
         Nic {
             fabric: self.clone(),
-            shared,
-            engine: Some(handle),
+            shared: Arc::new(NicShared {
+                name: name.to_string(),
+                regions: RwLock::new(HashMap::new()),
+                vis: RwLock::new(HashMap::new()),
+                fault_active: AtomicBool::new(false),
+                fault: Mutex::new((FaultConfig::default(), StdRng::seed_from_u64(0))),
+                shutdown: AtomicBool::new(false),
+                trace: OnceLock::new(),
+            }),
         }
     }
 
@@ -353,30 +355,18 @@ impl Fabric {
         let id_a = self.inner.next_vi.fetch_add(1, Ordering::Relaxed);
         // ordering: Relaxed — as for `id_a`.
         let id_b = self.inner.next_vi.fetch_add(1, Ordering::Relaxed);
-        let vi_a = Arc::new(ViShared {
-            id: id_a,
+        let vi_a = Arc::new(ViShared::new(
+            id_a,
             reliability,
-            peer: Some((Arc::downgrade(&b.shared), id_b)),
-            recv_ring: SpscRing::with_capacity(RECV_RING_CAP),
-            recv_post: OwnerTag::new(),
-            send_done: SpscRing::with_capacity(DONE_RING_CAP),
-            send_reap: OwnerTag::new(),
-            recv_done: SpscRing::with_capacity(DONE_RING_CAP),
-            recv_reap: OwnerTag::new(),
-            cq: cq_a.map(|c| c.sink.clone()),
-        });
-        let vi_b = Arc::new(ViShared {
-            id: id_b,
+            (Arc::downgrade(&b.shared), id_b),
+            cq_a,
+        ));
+        let vi_b = Arc::new(ViShared::new(
+            id_b,
             reliability,
-            peer: Some((Arc::downgrade(&a.shared), id_a)),
-            recv_ring: SpscRing::with_capacity(RECV_RING_CAP),
-            recv_post: OwnerTag::new(),
-            send_done: SpscRing::with_capacity(DONE_RING_CAP),
-            send_reap: OwnerTag::new(),
-            recv_done: SpscRing::with_capacity(DONE_RING_CAP),
-            recv_reap: OwnerTag::new(),
-            cq: cq_b.map(|c| c.sink.clone()),
-        });
+            (Arc::downgrade(&a.shared), id_a),
+            cq_b,
+        ));
         a.shared.vis.write().insert(id_a, Arc::clone(&vi_a));
         b.shared.vis.write().insert(id_b, Arc::clone(&vi_b));
         Ok((
@@ -397,12 +387,13 @@ impl Fabric {
     }
 }
 
-/// A network interface: owns registered memory and an engine thread that
-/// asynchronously processes posted descriptors.
+/// A network interface: owns registered memory and the VIs connected on
+/// it. It has no thread of its own. As cLAN's NIC runs a transfer once
+/// its doorbell rings, with no host thread in between, a post here runs
+/// its transfer in the posting thread before it returns.
 pub struct Nic {
     fabric: Fabric,
     shared: Arc<NicShared>,
-    engine: Option<JoinHandle<()>>,
 }
 
 impl Nic {
@@ -501,12 +492,13 @@ impl Nic {
     }
 
     /// Installs `hook` on a registered region, replacing any earlier one.
-    /// The NIC engine that performs a remote (RDMA) write into the region
-    /// runs the hook on its own thread once the bytes have landed, so the
-    /// region's owner can wake on arrival instead of polling on a timer.
-    /// A failed, forbidden, out-of-bounds or dropped write does not run
-    /// it, and neither does a local [`Nic::write_region`]. The hook runs
-    /// on the engine's per-message path: keep it short and non-blocking.
+    /// A remote (RDMA) write into the region runs the hook on the posting
+    /// thread once the bytes have landed, so the region's owner can wake
+    /// on arrival instead of polling on a timer. A failed, forbidden,
+    /// out-of-bounds or dropped write does not run it, and neither does a
+    /// local [`Nic::write_region`]. The hook runs inside the writer's
+    /// post, with its send tag held: keep it short and non-blocking, and
+    /// never post from it.
     ///
     /// # Errors
     ///
@@ -553,14 +545,9 @@ impl std::fmt::Debug for Nic {
 
 impl Drop for Nic {
     fn drop(&mut self) {
-        // ordering: Release — pairs with the engine thread's Acquire
-        // loads; all descriptor state mutated before the drop is visible
-        // to the engine before it observes the stop flag.
+        // ordering: Release — pairs with the Acquire load in
+        // `Vi::claim_send`: a post that sees the flag fails.
         self.shared.shutdown.store(true, Ordering::Release);
-        let _ = self.shared.ops.send(EngineOp::Stop);
-        if let Some(h) = self.engine.take() {
-            let _ = h.join();
-        }
     }
 }
 
@@ -593,32 +580,22 @@ impl Vi {
         unsafe { self.shared.recv_ring.push(desc).map_err(|(e, _)| e) }
     }
 
-    /// Posts a send descriptor; the NIC engine transfers the segment to
-    /// the peer's next posted receive descriptor.
+    /// Posts a send descriptor. The segment is copied into the peer's
+    /// next posted receive descriptor, and both completions delivered,
+    /// before this returns.
     ///
     /// # Errors
     ///
-    /// Fails immediately if the region is unknown/out of bounds or the
-    /// engine has shut down. Delivery errors are reported through the
-    /// completion.
+    /// Fails at once, having transferred nothing, if the region is
+    /// unknown/out of bounds, the NIC has shut down, or a per-VI
+    /// completion ring the post could push into is full
+    /// ([`ViaError::RingFull`]: reap, then post again; a VI attached to a
+    /// [`CompletionQueue`] never hits this). Delivery errors are reported
+    /// through the completion.
     #[press::hot_path]
     pub fn post_send(&self, desc: Descriptor) -> Result<(), ViaError> {
-        // ordering: Acquire — pairs with the Release store in
-        // `Drop for Nic`; a post racing teardown either sees the flag
-        // or its op lands before the engine drains.
-        if self.nic.shutdown.load(Ordering::Acquire) {
-            return Err(ViaError::Shutdown);
-        }
         self.nic.validate(&desc)?;
-        self.nic
-            .trace_event(EventKind::ViaPost, self.shared.id, desc.len as u64, 0);
-        self.nic
-            .ops
-            .send(EngineOp::Send {
-                vi: self.shared.id,
-                sg: SgList::from(desc),
-            })
-            .map_err(|_| ViaError::Shutdown)
+        self.post_sends(&[SgList::from(desc)], desc.len as u64, 0)
     }
 
     /// Posts a scatter-gather send: up to [`crate::MAX_SEGMENTS`]
@@ -628,56 +605,63 @@ impl Vi {
     ///
     /// # Errors
     ///
-    /// Fails immediately if the list is empty, any segment is
-    /// unknown/out of bounds, or the engine has shut down.
+    /// As [`Vi::post_send`], and fails if the list is empty.
     #[press::hot_path]
     pub fn post_send_sg(&self, sg: SgList) -> Result<(), ViaError> {
-        // ordering: Acquire — same teardown contract as `post_send`.
-        if self.nic.shutdown.load(Ordering::Acquire) {
-            return Err(ViaError::Shutdown);
-        }
         self.validate_sg(&sg)?;
-        let total = sg.total_len() as u64;
-        self.nic
-            .trace_event(EventKind::ViaPost, self.shared.id, total, sg.len() as u64);
-        self.nic
-            .ops
-            .send(EngineOp::Send {
-                vi: self.shared.id,
-                sg,
-            })
-            .map_err(|_| ViaError::Shutdown)
+        self.post_sends(&[sg], sg.total_len() as u64, sg.len() as u64)
     }
 
-    /// Crate-internal batched post used by [`crate::Doorbell`]: all
-    /// `count` gathers ride one engine op (one doorbell). Segments were
-    /// validated when staged. The ViaPost trace event carries the batch
-    /// size so doorbell coalescing is visible in traces.
+    /// Crate-internal batched post used by [`crate::Doorbell`]: all the
+    /// gathers ride one post (one doorbell) and run in order. Segments
+    /// were validated when staged. The ViaPost trace event carries the
+    /// batch size so doorbell coalescing is visible in traces.
     #[press::hot_path]
-    pub(crate) fn post_send_batch(
+    pub(crate) fn post_send_batch(&self, sgs: &[SgList], total_bytes: u64) -> Result<(), ViaError> {
+        self.post_sends(sgs, total_bytes, sgs.len() as u64)
+    }
+
+    /// Runs `sgs` as one post, in order, in the calling thread. The
+    /// ViaPost event records `bytes` and `count`.
+    #[press::hot_path]
+    fn post_sends(&self, sgs: &[SgList], bytes: u64, count: u64) -> Result<(), ViaError> {
+        let (_own, peer) = self.claim_send(sgs.len(), sgs.len())?;
+        self.nic
+            .trace_event(EventKind::ViaPost, self.shared.id, bytes, count);
+        for sg in sgs {
+            process_send(&self.nic, &self.shared, peer.as_ref(), *sg);
+        }
+        Ok(())
+    }
+
+    /// Claims this VI's send tag for one post that delivers up to `sends`
+    /// completions here and `recvs` at the peer, and resolves the peer.
+    /// A post never waits: if the NIC has shut down, or a per-VI
+    /// completion ring lacks the room, it fails before any transfer.
+    #[press::hot_path]
+    fn claim_send(
         &self,
-        sgs: [SgList; MAX_DOORBELL],
-        count: u8,
-        total_bytes: u64,
-    ) -> Result<(), ViaError> {
-        // ordering: Acquire — same teardown contract as `post_send`.
+        sends: usize,
+        recvs: usize,
+    ) -> Result<(OwnerGuard<'_>, Option<PeerRef>), ViaError> {
+        // ordering: Acquire — pairs with the Release store in
+        // `Drop for Nic`: a post racing teardown either sees the flag or
+        // completes while the NIC's state is still whole.
         if self.nic.shutdown.load(Ordering::Acquire) {
             return Err(ViaError::Shutdown);
         }
-        self.nic.trace_event(
-            EventKind::ViaPost,
-            self.shared.id,
-            total_bytes,
-            count as u64,
-        );
-        self.nic
-            .ops
-            .send(EngineOp::SendBatch {
-                vi: self.shared.id,
-                sgs,
-                count,
-            })
-            .map_err(|_| ViaError::Shutdown)
+        let own = self.shared.send_post.claim();
+        let peer = self.shared.peer_ref();
+        // Only the holder of `send_post` fills these rings, so room seen
+        // here is still there when the transfer pushes.
+        let room = self.shared.has_room(&self.shared.send_done, sends)
+            && peer
+                .as_ref()
+                .is_none_or(|(_, p)| p.has_room(&p.recv_done, recvs));
+        if !room {
+            return Err(ViaError::RingFull);
+        }
+        Ok((own, peer))
     }
 
     /// Crate-internal validation of a gather list (also used when
@@ -693,30 +677,23 @@ impl Vi {
     }
 
     /// Posts a remote memory write: the local segment is written into the
-    /// peer's registered region without any receiver involvement.
+    /// peer's registered region, without any receiver involvement, before
+    /// this returns.
     ///
     /// # Errors
     ///
-    /// Fails immediately on local validation problems; remote validation
-    /// problems (unknown region, bounds, permission) are reported through
-    /// the completion.
+    /// Fails at once on local validation problems, shutdown, or a full
+    /// send completion ring, as [`Vi::post_send`] does; remote
+    /// validation problems (unknown region, bounds, permission) are
+    /// reported through the completion.
     #[press::hot_path]
     pub fn rdma_write(&self, desc: Descriptor, remote: RemoteBuffer) -> Result<(), ViaError> {
-        // ordering: Acquire — same teardown contract as `post_send`.
-        if self.nic.shutdown.load(Ordering::Acquire) {
-            return Err(ViaError::Shutdown);
-        }
         self.nic.validate(&desc)?;
+        let (_own, peer) = self.claim_send(1, 0)?;
         self.nic
             .trace_event(EventKind::RdmaWrite, self.shared.id, desc.len as u64, 0);
-        self.nic
-            .ops
-            .send(EngineOp::Rdma {
-                vi: self.shared.id,
-                desc,
-                remote,
-            })
-            .map_err(|_| ViaError::Shutdown)
+        process_rdma(&self.nic, &self.shared, peer.as_ref(), desc, remote);
+        Ok(())
     }
 
     /// Waits for the next send (or RDMA-write) completion.
@@ -817,8 +794,8 @@ struct CqSink {
 }
 
 impl CqSink {
-    /// Engine-side: queue `c`, then run the wake hook, so the hook's
-    /// owner can already poll the completion it is woken for.
+    /// Queues `c`, then runs the wake hook, so the hook's owner can
+    /// already poll the completion it is woken for.
     fn push(&self, c: Completion) {
         let _ = self.tx.send(c);
         if let Some(wake) = &self.wake {
@@ -850,11 +827,12 @@ impl CompletionQueue {
         }
     }
 
-    /// Creates an empty completion queue that runs `wake` on the NIC
-    /// engine thread after every completion it queues: send, receive
-    /// and RDMA write alike. A host thread that polls the queue before
-    /// it parks uses the hook to be woken instead of blocking in
-    /// [`CompletionQueue::wait`]. The hook must not block.
+    /// Creates an empty completion queue that runs `wake` after every
+    /// completion it queues: send, receive and RDMA write alike. The
+    /// hook runs on the thread that posted the transfer, inside its post.
+    /// A host thread that polls the queue before it parks uses the hook
+    /// to be woken instead of blocking in [`CompletionQueue::wait`]. The
+    /// hook must not block, and must not post.
     pub fn with_wake(wake: Arc<dyn Fn() + Send + Sync>) -> Self {
         let mut cq = Self::new();
         cq.sink.wake = Some(wake);
@@ -894,45 +872,13 @@ impl std::fmt::Debug for CompletionQueue {
     }
 }
 
-/// The engine: processes this NIC's posted sends and remote writes, in
-/// order, against peers' receive queues and regions.
-fn engine_loop(nic: Arc<NicShared>, ops: Receiver<EngineOp>) {
-    while let Ok(op) = ops.recv() {
-        match op {
-            EngineOp::Stop => break,
-            EngineOp::Send { vi, sg } => process_send(&nic, vi, sg),
-            EngineOp::SendBatch { vi, sgs, count } => {
-                // One doorbell, `count` messages: process in post order.
-                for sg in sgs.iter().take(count as usize) {
-                    process_send(&nic, vi, *sg);
-                }
-            }
-            EngineOp::Rdma { vi, desc, remote } => process_rdma(&nic, vi, desc, remote),
-        }
-    }
-}
-
 /// A resolved peer endpoint: the owning NIC plus the VI state.
 type PeerRef = (Arc<NicShared>, Arc<ViShared>);
 
-fn lookup(nic: &Arc<NicShared>, vi: u64) -> Option<(Arc<ViShared>, Reliability, Option<PeerRef>)> {
-    // press::allow(blocking-in-hot-path): the VI table is written only
-    // by connect/disconnect on the control path; data-path readers
-    // never contend with each other on this RwLock.
-    let local = nic.vis.read().get(&vi).cloned()?;
-    let reliability = local.reliability;
-    let peer = local.peer.as_ref().and_then(|(w, id)| {
-        let peer_nic = w.upgrade()?;
-        let peer_vi = peer_nic.vis.read().get(id).cloned()?;
-        Some((peer_nic, peer_vi))
-    });
-    Some((local, reliability, peer))
-}
-
 /// One-copy transfer between registered regions: no staging buffer.
 ///
-/// Distinct regions are locked in address order so two engines copying
-/// in opposite directions cannot deadlock; a same-region copy takes the
+/// Distinct regions are locked in address order so two posts copying in
+/// opposite directions cannot deadlock; a same-region copy takes the
 /// single write lock once and uses `copy_within`.
 fn copy_between(
     src: &Region,
@@ -969,25 +915,23 @@ fn copy_between(
     Ok(())
 }
 
+/// Runs one send posted on `local`: copies `sg` into the peer's next
+/// posted receive and delivers both completions. The caller holds
+/// `local.send_post` and checked the completion rings' room.
 #[press::hot_path]
-fn process_send(nic: &Arc<NicShared>, vi: u64, sg: SgList) {
-    let Some((local, reliability, peer)) = lookup(nic, vi) else {
-        return;
-    };
+fn process_send(nic: &NicShared, local: &ViShared, peer: Option<&PeerRef>, sg: SgList) {
+    let (vi, reliability) = (local.id, local.reliability);
     let done_desc = sg.completion_descriptor();
     let total = sg.total_len();
     let fail = |err: ViaError| {
         nic.trace_event(EventKind::ViaComplete, vi, 0, 1);
-        local.complete_send(
-            nic,
-            Completion {
-                vi_id: vi,
-                descriptor: done_desc,
-                kind: CompletionKind::Send,
-                transferred: 0,
-                status: Err(err),
-            },
-        );
+        local.complete_send(Completion {
+            vi_id: vi,
+            descriptor: done_desc,
+            kind: CompletionKind::Send,
+            transferred: 0,
+            status: Err(err),
+        });
     };
     let Some((peer_nic, peer_vi)) = peer else {
         fail(ViaError::NotConnected);
@@ -1016,16 +960,13 @@ fn process_send(nic: &Arc<NicShared>, vi: u64, sg: SgList) {
     // posted (the "message lost without being detected" of Section 2.1).
     if reliability == Reliability::UnreliableDelivery && nic.should_drop() {
         nic.trace_event(EventKind::ViaComplete, vi, total as u64, 0);
-        local.complete_send(
-            nic,
-            Completion {
-                vi_id: vi,
-                descriptor: done_desc,
-                kind: CompletionKind::Send,
-                transferred: total,
-                status: Ok(()),
-            },
-        );
+        local.complete_send(Completion {
+            vi_id: vi,
+            descriptor: done_desc,
+            kind: CompletionKind::Send,
+            transferred: total,
+            status: Ok(()),
+        });
         return;
     }
     let Some(rd) = peer_vi.pop_posted_recv() else {
@@ -1033,16 +974,13 @@ fn process_send(nic: &Arc<NicShared>, vi: u64, sg: SgList) {
             // Lost: nobody was listening, nobody is told.
             Reliability::UnreliableDelivery => {
                 nic.trace_event(EventKind::ViaComplete, vi, total as u64, 0);
-                local.complete_send(
-                    nic,
-                    Completion {
-                        vi_id: vi,
-                        descriptor: done_desc,
-                        kind: CompletionKind::Send,
-                        transferred: total,
-                        status: Ok(()),
-                    },
-                );
+                local.complete_send(Completion {
+                    vi_id: vi,
+                    descriptor: done_desc,
+                    kind: CompletionKind::Send,
+                    transferred: total,
+                    status: Ok(()),
+                });
             }
             Reliability::ReliableDelivery => fail(ViaError::ReceiverNotReady),
         }
@@ -1050,16 +988,13 @@ fn process_send(nic: &Arc<NicShared>, vi: u64, sg: SgList) {
     };
     if rd.len < total {
         fail(ViaError::RecvBufferTooSmall);
-        peer_vi.complete_recv(
-            &peer_nic,
-            Completion {
-                vi_id: peer_vi.id,
-                descriptor: rd,
-                kind: CompletionKind::Recv,
-                transferred: 0,
-                status: Err(ViaError::RecvBufferTooSmall),
-            },
-        );
+        peer_vi.complete_recv(Completion {
+            vi_id: peer_vi.id,
+            descriptor: rd,
+            kind: CompletionKind::Recv,
+            transferred: 0,
+            status: Err(ViaError::RecvBufferTooSmall),
+        });
         return;
     }
     // Gather the segments into the receive buffer, region to region —
@@ -1088,39 +1023,39 @@ fn process_send(nic: &Arc<NicShared>, vi: u64, sg: SgList) {
         transferred as u64,
         status.is_err() as u64,
     );
-    local.complete_send(
-        nic,
-        Completion {
-            vi_id: vi,
-            descriptor: done_desc,
-            kind: CompletionKind::Send,
-            transferred,
-            status,
-        },
-    );
+    local.complete_send(Completion {
+        vi_id: vi,
+        descriptor: done_desc,
+        kind: CompletionKind::Send,
+        transferred,
+        status,
+    });
     peer_nic.trace_event(
         EventKind::ViaRecv,
         peer_vi.id,
         transferred as u64,
         status.is_err() as u64,
     );
-    peer_vi.complete_recv(
-        &peer_nic,
-        Completion {
-            vi_id: peer_vi.id,
-            descriptor: rd,
-            kind: CompletionKind::Recv,
-            transferred,
-            status,
-        },
-    );
+    peer_vi.complete_recv(Completion {
+        vi_id: peer_vi.id,
+        descriptor: rd,
+        kind: CompletionKind::Recv,
+        transferred,
+        status,
+    });
 }
 
+/// Runs one remote write posted on `local`, under the same contract as
+/// [`process_send`].
 #[press::hot_path]
-fn process_rdma(nic: &Arc<NicShared>, vi: u64, desc: Descriptor, remote: RemoteBuffer) {
-    let Some((local, reliability, peer)) = lookup(nic, vi) else {
-        return;
-    };
+fn process_rdma(
+    nic: &NicShared,
+    local: &ViShared,
+    peer: Option<&PeerRef>,
+    desc: Descriptor,
+    remote: RemoteBuffer,
+) {
+    let (vi, reliability) = (local.id, local.reliability);
     let complete = |status: Result<(), ViaError>, transferred: usize| {
         nic.trace_event(
             EventKind::ViaComplete,
@@ -1128,16 +1063,13 @@ fn process_rdma(nic: &Arc<NicShared>, vi: u64, desc: Descriptor, remote: RemoteB
             transferred as u64,
             status.is_err() as u64,
         );
-        local.complete_send(
-            nic,
-            Completion {
-                vi_id: vi,
-                descriptor: desc,
-                kind: CompletionKind::RdmaWrite,
-                transferred,
-                status,
-            },
-        );
+        local.complete_send(Completion {
+            vi_id: vi,
+            descriptor: desc,
+            kind: CompletionKind::RdmaWrite,
+            transferred,
+            status,
+        });
     };
     let Some((peer_nic, _peer_vi)) = peer else {
         complete(Err(ViaError::NotConnected), 0);
@@ -1382,7 +1314,7 @@ mod tests {
         let runs = Arc::new(AtomicU64::new(0));
         let r = Arc::clone(&runs);
         // ordering: Relaxed — a test counter, read after the write's
-        // completion, which the engine delivers after the hook returns.
+        // completion, which the post delivers after the hook returns.
         let hook = Arc::new(move || {
             r.fetch_add(1, Ordering::Relaxed);
         });
@@ -1687,7 +1619,7 @@ mod tests {
             .unwrap();
         let ma = a.register(vec![0; 8], false).unwrap();
         drop(a);
-        // The engine is gone: posting reports shutdown.
+        // The NIC is gone: posting reports shutdown.
         assert_eq!(
             va.post_send(Descriptor::new(ma, 0, 8)),
             Err(ViaError::Shutdown)

@@ -19,27 +19,31 @@ use crate::mem::MemHandle;
 /// Maximum number of staged sends one doorbell ring may carry.
 ///
 /// Fixed so the staging array lives inline in the [`Doorbell`] (no heap)
-/// and a flush is a single engine op.
+/// and a flush is a single post.
 pub const MAX_DOORBELL: usize = 8;
 
 /// Doorbell batching for the V6 fast path: stage up to [`MAX_DOORBELL`]
-/// outgoing messages and post them with *one* doorbell ring (one engine
-/// op) instead of one per message.
+/// outgoing messages and post them with *one* doorbell ring (one post)
+/// instead of one per message.
 ///
 /// On real VIA hardware each posted descriptor costs a doorbell — an
 /// uncached PCI write on cLAN. Coalescing N sends into one doorbell
-/// amortizes that cost under load. The batch is flushed when it reaches
-/// `batch` messages, when [`Doorbell::flush`] is called explicitly
-/// (callers do this on credit edges and before unbatched traffic, to
-/// preserve ordering), and when the owner's work queue drains: an owner
-/// that flushes before it blocks coalesces only messages that were
-/// already queued, so a lone message never waits for a later one.
+/// amortizes that cost under load. In this fabric a ring runs the whole
+/// batch in the caller's thread, so a batch amortizes the per-post work:
+/// one send-tag claim, one room check, one peer lookup and one `ViaPost`
+/// trace event for up to [`MAX_DOORBELL`] messages. The batch is flushed
+/// when it reaches `batch` messages, when [`Doorbell::flush`] is called
+/// explicitly (callers do this on credit edges and before unbatched
+/// traffic, to preserve ordering), and when the owner's work queue
+/// drains: an owner that flushes before it blocks coalesces only
+/// messages that were already queued, so a lone message never waits for
+/// a later one.
 /// [`Doorbell::flush_stale`], which flushes once the oldest staged
 /// message has waited `max_delay`, is the fallback for callers that have
 /// no drain point.
 ///
-/// Messages within a batch are processed by the engine in staging order,
-/// so batching never reorders completions relative to unbatched posting.
+/// Messages within a batch are transferred in staging order, so batching
+/// never reorders completions relative to unbatched posting.
 #[derive(Debug)]
 pub struct Doorbell {
     vi: Vi,
@@ -82,10 +86,17 @@ impl Doorbell {
     ///
     /// # Errors
     ///
-    /// Validation errors for the staged list, or any flush error.
+    /// Validation errors for the staged list, or any flush error. If the
+    /// threshold flush fails, this message stays staged with the rest of
+    /// the batch; if the stage is still full from an earlier failed
+    /// flush, the retried flush's error is returned and `sg` is not
+    /// staged.
     #[press::hot_path]
     pub fn post_sg(&mut self, sg: SgList) -> Result<bool, ViaError> {
         self.vi.validate_sg(&sg)?;
+        if self.count >= self.batch {
+            self.flush()?;
+        }
         self.staged[self.count as usize] = sg;
         self.count += 1;
         self.staged_bytes += sg.total_len() as u64;
@@ -109,27 +120,27 @@ impl Doorbell {
         self.post_sg(SgList::from(desc))
     }
 
-    /// Rings the doorbell: every staged message goes to the engine as a
-    /// single batched op, in staging order. Returns how many messages
-    /// were flushed (0 if nothing was staged).
+    /// Rings the doorbell: every staged message is posted as one batch
+    /// and transferred, in staging order, before this returns. Returns
+    /// how many messages were flushed (0 if nothing was staged).
     ///
     /// # Errors
     ///
-    /// [`ViaError::Shutdown`] if the engine is gone; the staged batch is
-    /// dropped in that case, like any post after shutdown.
+    /// [`ViaError::Shutdown`] if the NIC is gone, or
+    /// [`ViaError::RingFull`] if the batch's completions do not all fit
+    /// in the per-VI rings. Nothing is transferred then and the batch
+    /// stays staged: reap completions and flush again.
     #[press::hot_path]
     pub fn flush(&mut self) -> Result<usize, ViaError> {
         if self.count == 0 {
             return Ok(0);
         }
         let n = self.count as usize;
-        let sgs = self.staged;
-        let count = self.count;
-        let bytes = self.staged_bytes;
+        self.vi
+            .post_send_batch(&self.staged[..n], self.staged_bytes)?;
         self.count = 0;
         self.staged_bytes = 0;
         self.oldest = None;
-        self.vi.post_send_batch(sgs, count, bytes)?;
         Ok(n)
     }
 

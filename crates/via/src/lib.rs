@@ -8,8 +8,10 @@
 //!
 //! * **Virtual Interfaces** ([`Vi`]): connected endpoint pairs with send
 //!   and receive work queues (Section 2.1);
-//! * **descriptors** ([`Descriptor`]): posted to the queues, processed
-//!   asynchronously by the NIC engine, marked complete ([`Completion`]);
+//! * **descriptors** ([`Descriptor`]): posted to the queues and marked
+//!   complete ([`Completion`]). A send or RDMA post runs its transfer in
+//!   the posting thread, as cLAN's NIC runs one when its doorbell rings:
+//!   no host thread sits between the post and the peer's completion;
 //! * **memory registration** ([`Nic::register`]): every buffer taking
 //!   part in a transfer must be registered first;
 //! * **remote memory writes** ([`Vi::rdma_write`]): data lands in the

@@ -5,10 +5,13 @@
 //! V0–V5 with fixed-capacity SPSC rings. Each ring has exactly one
 //! producer thread and one consumer thread:
 //!
-//! * posted-receive ring: the host posts (producer), the peer NIC's
-//!   engine consumes when a message arrives (consumer);
-//! * completion rings: one NIC engine publishes (producer), the host
-//!   reaps (consumer).
+//! * posted-receive ring: the host posts (producer), the peer VI's send
+//!   posts consume one per message (consumer);
+//! * completion rings: the send posts that complete into them publish
+//!   (producer), the host reaps (consumer).
+//!
+//! "One thread" means one at a time: each end is held through an
+//! [`OwnerTag`] (see `fabric.rs`).
 //!
 //! # Memory-ordering argument
 //!
@@ -40,9 +43,9 @@ use crate::error::ViaError;
 /// A fixed-capacity wait-free SPSC ring.
 ///
 /// `push` and `pop` are `unsafe`: each must be called by one thread at
-/// a time. [`crate::Vi`] enforces that with an [`OwnerTag`] per
-/// endpoint (host side) and the one-engine-thread-per-NIC invariant
-/// (engine side).
+/// a time. [`crate::Vi`] enforces that with an [`OwnerTag`] per ring
+/// end: the host's post-receive and reap tags, and the send tag every
+/// send and RDMA post holds.
 pub(crate) struct SpscRing<T> {
     slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
     /// Pop count. Written only by the consumer.
@@ -86,6 +89,12 @@ impl<T> SpscRing<T> {
         tail.wrapping_sub(head)
     }
 
+    /// Free slots. Exact for the producer, which alone fills them; the
+    /// consumer can only free more meanwhile.
+    pub(crate) fn vacant(&self) -> usize {
+        self.mask + 1 - self.len()
+    }
+
     /// Producer side: push a value, failing with [`ViaError::RingFull`]
     /// when the consumer has fallen `capacity` items behind. On failure
     /// the value is returned in the error so the caller can retry.
@@ -93,8 +102,8 @@ impl<T> SpscRing<T> {
     /// # Safety
     ///
     /// Must be called by at most one thread at a time (the producer).
-    // SAFETY: contract above; Vi guards host-side calls with an
-    // OwnerTag and engine-side calls run on the one engine thread.
+    // SAFETY: contract above; Vi guards every call with the ring end's
+    // OwnerTag.
     pub(crate) unsafe fn push(&self, value: T) -> Result<(), (ViaError, T)> {
         // ordering: Relaxed — tail is only written by this thread.
         let tail = self.tail.load(Ordering::Relaxed);
@@ -192,11 +201,12 @@ impl<T> Drop for SpscRing<T> {
 
 /// Runtime enforcement of a ring endpoint's single-owner contract.
 ///
-/// The intended topology dedicates one thread to each endpoint (PRESS
-/// runs one send loop and one recv loop per peer), so the claim CAS is
-/// uncontended and costs one atomic op. If an application shares a
-/// cloned [`crate::Vi`] across threads anyway, the second caller spins
-/// until the first finishes instead of corrupting the ring.
+/// The intended topology has one thread post to and reap from each VI
+/// (PRESS's live node: its main thread), so the claim is uncontended and
+/// costs one atomic op. If an application shares a cloned [`crate::Vi`]
+/// across threads anyway, the second caller spins until the first
+/// finishes instead of corrupting the ring. A send post holds its tag
+/// for a bounded copy, never across a wait.
 pub(crate) struct OwnerTag(AtomicBool);
 
 impl OwnerTag {

@@ -10,9 +10,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use press::core::{run_simulation_traced, SimConfig};
-use press::server::{LiveCluster, LiveConfig};
+use press::server::{LiveCluster, LiveConfig, WireKind, WireMsg};
 use press::telem::{
-    attribute_request, attribute_trace, by_request, chain_to_root, lane, EventKind, LiveTracer,
+    attribute_request, attribute_trace, by_request, lane, EventKind, LiveTracer, SpanIndex,
     TraceEvent,
 };
 use press::trace::{FileCatalog, FileId, TracePreset};
@@ -74,6 +74,7 @@ fn sim_forwarded_chain_walks_from_done_back_to_arrive() {
     let (_, trace) = run_simulation_traced(&cfg);
     assert_eq!(trace.dropped(), 0, "short run must fit the buffer");
 
+    let spans = SpanIndex::new(&trace);
     let mut cross_node_chains = 0;
     for (_, events) in by_request(&trace) {
         if distinct_nodes(&events) < 2 {
@@ -83,7 +84,7 @@ fn sim_forwarded_chain_walks_from_done_back_to_arrive() {
             continue;
         };
         assert_ne!(done.span, 0, "Done events carry a span id");
-        let chain = chain_to_root(&trace, done.span);
+        let chain = spans.chain(done.span);
         assert_eq!(
             chain.first().map(|e| e.kind),
             Some(EventKind::Arrive),
@@ -278,7 +279,7 @@ fn live_forwarded_request_stitches_one_cross_node_trace() {
         .iter()
         .find(|e| e.kind == EventKind::Done)
         .expect("completed request has a Done");
-    let chain = chain_to_root(&trace, done.span);
+    let chain = SpanIndex::new(&trace).chain(done.span);
     assert_eq!(
         chain.first().map(|e| e.kind),
         Some(EventKind::Arrive),
@@ -325,7 +326,8 @@ fn live_failed_over_request_chains_back_to_arrive() {
         .iter()
         .find(|e| e.kind == EventKind::Done)
         .expect("completed request has a Done");
-    let kinds: Vec<EventKind> = chain_to_root(&trace, done.span)
+    let kinds: Vec<EventKind> = SpanIndex::new(&trace)
+        .chain(done.span)
         .iter()
         .map(|e| e.kind)
         .collect();
@@ -337,5 +339,55 @@ fn live_failed_over_request_chains_back_to_arrive() {
     assert!(
         kinds.contains(&EventKind::Retry) && kinds.contains(&EventKind::Failover),
         "retries and the failover sit on the chain: {kinds:?}"
+    );
+}
+
+#[test]
+fn live_retried_forward_records_the_wire_size_on_every_attempt() {
+    const NODES: usize = 4;
+    let catalog = FileCatalog::from_sizes(vec![2048; 64]);
+    let cfg = LiveConfig {
+        nodes: NODES,
+        retry_timeout: Duration::from_millis(20),
+        max_retries: 1,
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start_with_tracer(cfg, catalog, Some(LiveTracer::new()));
+
+    // Node 1 drops traffic but stays in the membership: the forward to it
+    // times out, is retried to it once, and then fails over.
+    let file = (0..64u32)
+        .map(FileId)
+        .find(|&f| placement(f, NODES) == 1)
+        .expect("some file hashes to node 1");
+    cluster.hang_node(1);
+    let data = cluster
+        .request(0, file, Duration::from_secs(10))
+        .expect("failed-over request completes");
+    assert_eq!(data.len(), 2048);
+
+    let trace = cluster.shutdown_traced().expect("tracer was on");
+    let requests = by_request(&trace);
+    let events = requests
+        .values()
+        .find(|evs| evs.iter().any(|e| e.kind == EventKind::Retry))
+        .expect("the request was retried");
+    let sends: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::ViaSend && e.b == 1)
+        .collect();
+    assert_eq!(sends.len(), 2, "one send per attempt: {sends:?}");
+    let forward = WireMsg {
+        kind: WireKind::Forward,
+        file,
+        token: 0,
+        sender_load: 0,
+        parent_span: 0,
+        payload: Vec::new(),
+    };
+    let wire = forward.encode(&mut [0; 64]) as u64;
+    assert!(
+        sends.iter().all(|e| e.a == wire),
+        "every attempt records the {wire}-byte wire size: {sends:?}"
     );
 }
