@@ -20,11 +20,17 @@
 //!   `ResetPeer` repair racing a stale credit return, mirroring
 //!   `Outbox::credits`/`Outbox::reset_peer` in
 //!   `crates/server/src/node.rs`;
+//! * [`EventOrderModel`] — the event order rule of a live node's loop
+//!   under crash recovery: the controller's `ResetPeer`/`Recover` events
+//!   against a peer's forward, mirroring `drain_cq`/`take_events` in
+//!   `crates/server/src/node.rs`;
 //! * [`BatchPoolModel`] — `ExperimentRunner`'s shared-index job claiming
 //!   in `crates/core/src/batch.rs`: every slot filled exactly once;
 //! * [`SendRingModel`] — the V6 fast path's SPSC send ring with credit
 //!   return, mirroring the publish/consume/retire protocol of
 //!   `crates/via/src/spsc.rs` and the slab-slot ownership handoff.
+
+use std::collections::VecDeque;
 
 use minloom::{explore, Ctx, Loc, Memory, Model, Order, Outcome};
 
@@ -331,6 +337,251 @@ impl Model for CreditRepairModel {
     }
 }
 
+/// One entry of a node's event channel or inbox in [`EventOrderModel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NodeEv {
+    ResetPeer,
+    Recover,
+    Wake,
+    Forward,
+}
+
+/// The node's loop state in [`EventOrderModel`]. The event channel is a
+/// mutexed FIFO queue, so it is plain model state: every push and pop is
+/// one step in the global order.
+#[derive(Debug, Clone)]
+struct NodeLoop {
+    /// The shipped drain: `take_events` before a decoded message.
+    take_events: bool,
+    channel: VecDeque<NodeEv>,
+    inbox: VecDeque<NodeEv>,
+    /// `wake_hook`'s flag: set by the hook, cleared before each drain.
+    wake_pending: bool,
+    crashed: bool,
+    /// A reply to the reset peer left this node.
+    replied: bool,
+    forwards_handled: u32,
+}
+
+impl NodeLoop {
+    /// Handles one event, as `NodeState::handle` does.
+    fn apply(&mut self, ev: NodeEv) -> Result<(), String> {
+        match ev {
+            NodeEv::ResetPeer if self.replied => Err(
+                "reply to the reset peer left before its ResetPeer: the reset throws it away \
+                 or it overruns the fresh window"
+                    .into(),
+            ),
+            NodeEv::Recover => {
+                self.crashed = false;
+                Ok(())
+            }
+            NodeEv::Forward if self.crashed => Err(
+                "forward handled before the Recover queued ahead of it: the crashed node drops it"
+                    .into(),
+            ),
+            NodeEv::Forward => {
+                self.forwards_handled += 1;
+                self.replied = true;
+                Ok(())
+            }
+            NodeEv::ResetPeer | NodeEv::Wake => Ok(()),
+        }
+    }
+
+    /// A pass's head: one event, from the inbox before the channel (none
+    /// when the tick ran out), then the wake flag is cleared.
+    fn pass(&mut self) -> Result<(), String> {
+        if let Some(ev) = self.inbox.pop_front().or_else(|| self.channel.pop_front()) {
+            self.apply(ev)?;
+        }
+        self.wake_pending = false;
+        Ok(())
+    }
+
+    /// The drain decoded a forward while `dead` read `dead`.
+    fn decode(&mut self, dead: bool) -> Result<(), String> {
+        if dead {
+            return Ok(()); // dropped, like all traffic to a dead host
+        }
+        if self.take_events {
+            while let Some(ev) = self.channel.pop_front() {
+                match ev {
+                    NodeEv::ResetPeer => self.apply(ev)?,
+                    ev => self.inbox.push_back(ev),
+                }
+            }
+        }
+        self.inbox.push_back(NodeEv::Forward);
+        Ok(())
+    }
+}
+
+/// A live node's event order under crash recovery (DESIGN.md § 11,
+/// "Event order rule").
+///
+/// Three actors, mirroring `ClusterCtl::recover`, a peer's post and
+/// `NodeState::run` in `crates/server`:
+///
+/// * the **controller** queues `ResetPeer` (and `Recover`, when the
+///   modelled node is the one recovering) on the node's channel, then
+///   Release-stores `dead = false` and publishes the recovering node as
+///   live;
+/// * a **peer main thread**, once it sees its target up (Acquire), posts
+///   a forward into the node's completion queue and runs the wake hook,
+///   which queues one `Wake` unless one is pending;
+/// * the **node's loop**: each pass handles one event, from the inbox
+///   before the channel, then drains the completion queue. A message
+///   decoded while `dead` reads false goes onto the inbox; the shipped
+///   drain first runs `take_events`, which moves the channel's events
+///   onto the inbox and applies a `ResetPeer` on the spot.
+///
+/// With `recovering` the node is the recovering one: it starts crashed
+/// and its channel gets `ResetPeer` then `Recover`. Otherwise it is a
+/// busy peer of the recovering node: its channel gets that node's
+/// `ResetPeer`, and the forward comes from the recovering node's main
+/// thread as soon as its `Recover` is queued.
+///
+/// Invariants: no forward is handled before a `Recover` queued ahead of
+/// it; no reply goes to the reset peer before its `ResetPeer` (over its
+/// fresh window); and a posted forward is handled exactly once. The node
+/// runs [`EVENT_PASSES`] passes concurrently, then, once every actor has
+/// finished, the rest of its work in order (it parked until then).
+///
+/// With `take_events = false` (the first version of the drain, which
+/// queued a decoded message without moving the channel's events first)
+/// the checker finds a forward handled by the crashed node, or a reply
+/// sent ahead of its reset.
+pub struct EventOrderModel {
+    recovering: bool,
+    /// The node's crash switch.
+    dead: Loc,
+    /// The forward's target is up: set live (recovering node), or its
+    /// `Recover` is queued (the recovering peer's main thread may run).
+    up: Loc,
+    /// Completions queued on the node's completion queue.
+    cq: Loc,
+    node: NodeLoop,
+    pc: [usize; 2],
+    posted: bool,
+    passes: usize,
+    /// The node's next step is the drain half of a pass.
+    draining: bool,
+}
+
+/// Node-loop passes interleaved with the other actors.
+pub const EVENT_PASSES: usize = 3;
+
+impl EventOrderModel {
+    /// Builds the model; `take_events` selects the shipped drain, and
+    /// `recovering` whether the modelled node is the recovering one.
+    pub fn new(mem: &mut Memory, take_events: bool, recovering: bool) -> Self {
+        EventOrderModel {
+            recovering,
+            dead: mem.alloc(recovering as u64),
+            up: mem.alloc(0),
+            cq: mem.alloc(0),
+            node: NodeLoop {
+                take_events,
+                channel: VecDeque::new(),
+                inbox: VecDeque::new(),
+                wake_pending: false,
+                crashed: recovering,
+                replied: false,
+                forwards_handled: 0,
+            },
+            pc: [0; 2],
+            posted: false,
+            passes: 0,
+            draining: false,
+        }
+    }
+
+    /// Controller step `pc`; false once it has finished.
+    fn control(&mut self, pc: usize, ctx: &mut Ctx<'_>) -> bool {
+        match (self.recovering, pc) {
+            (_, 0) => self.node.channel.push_back(NodeEv::ResetPeer),
+            (true, 1) => self.node.channel.push_back(NodeEv::Recover),
+            (true, 2) => ctx.store(self.dead, 0, Order::Release),
+            // `Membership::set_live` on the recovering node, or the
+            // `Recover` queued on the recovering peer's own channel.
+            _ => {
+                ctx.rmw(self.up, Order::AcqRel, |_| 1);
+                return false;
+            }
+        }
+        true
+    }
+}
+
+impl Model for EventOrderModel {
+    fn threads(&self) -> usize {
+        3
+    }
+
+    fn step(&mut self, tid: usize, ctx: &mut Ctx<'_>) -> Result<bool, String> {
+        if tid == 2 {
+            if !self.draining {
+                self.node.pass()?;
+                self.draining = true;
+                return Ok(true);
+            }
+            // `drain_cq`: every queued completion, each checked against
+            // `dead` as the drain reads it.
+            while ctx.rmw(self.cq, Order::AcqRel, |c| c.saturating_sub(1)) > 0 {
+                let dead = ctx.load(self.dead, Order::Acquire) != 0;
+                self.node.decode(dead)?;
+            }
+            self.draining = false;
+            self.passes += 1;
+            return Ok(self.passes < EVENT_PASSES);
+        }
+        let pc = self.pc[tid];
+        self.pc[tid] += 1;
+        if tid == 0 {
+            return Ok(self.control(pc, ctx));
+        }
+        // The peer's main thread.
+        match pc {
+            // Nobody forwards to a node that is not up yet.
+            0 => Ok(ctx.load(self.up, Order::Acquire) != 0),
+            1 => {
+                ctx.fetch_add(self.cq, 1, Order::Release);
+                self.posted = true;
+                Ok(true)
+            }
+            _ => {
+                if !std::mem::replace(&mut self.node.wake_pending, true) {
+                    self.node.channel.push_back(NodeEv::Wake);
+                }
+                Ok(false)
+            }
+        }
+    }
+
+    fn check(&self, mem: &Memory) -> Result<(), String> {
+        // The parked loop wakes and finishes its work in order (its last
+        // concurrent step was a drain, so it starts a fresh pass).
+        let mut node = self.node.clone();
+        let dead = mem.latest(self.dead) != 0;
+        let mut queued = mem.latest(self.cq);
+        while queued > 0 || !node.inbox.is_empty() || !node.channel.is_empty() {
+            node.pass()?;
+            for _ in 0..std::mem::take(&mut queued) {
+                node.decode(dead)?;
+            }
+        }
+        let expected = self.posted as u32;
+        if node.forwards_handled != expected {
+            return Err(format!(
+                "forward lost: {expected} posted, {} handled",
+                node.forwards_handled
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// The batch pool's shared-index job claiming.
 ///
 /// Mirrors `ExperimentRunner::run` in `crates/core/src/batch.rs`:
@@ -614,6 +865,24 @@ pub fn check_credit_repair_clamped() -> Outcome {
 /// Runs the unclamped credit model; the overflow must be found.
 pub fn check_credit_repair_unclamped() -> Outcome {
     explore(|mem| CreditRepairModel::new(mem, false), MAX_EXECUTIONS)
+}
+
+/// Runs the event-order model with the shipped drain for a recovering
+/// node (`recovering`) or a busy peer of one; passes exhaustively.
+pub fn check_event_order_shipped(recovering: bool) -> Outcome {
+    explore(
+        |mem| EventOrderModel::new(mem, true, recovering),
+        MAX_EXECUTIONS,
+    )
+}
+
+/// Runs the event-order model with the first version of the drain (no
+/// `take_events`); the misordered forward or reply must be found.
+pub fn check_event_order_first_version(recovering: bool) -> Outcome {
+    explore(
+        |mem| EventOrderModel::new(mem, false, recovering),
+        MAX_EXECUTIONS,
+    )
 }
 
 /// Runs the batch-pool model with the real atomic claim; passes.

@@ -152,3 +152,39 @@ fn send_ring_relaxed_credit_return_is_caught() {
         .expect("a relaxed credit return must admit premature slot reuse");
     assert!(msg.contains("overwrite"), "unexpected violation: {msg}");
 }
+
+#[test]
+fn event_order_shipped_drain_keeps_recovery_order_exhaustively() {
+    for recovering in [true, false] {
+        let out = models::check_event_order_shipped(recovering);
+        println!(
+            "event order (take_events, recovering node: {recovering}): {} interleavings, exhaustive",
+            out.executions
+        );
+        assert!(out.violation.is_none(), "{:?}", out.violation);
+        assert!(out.complete, "state space must be fully explored");
+        assert!(
+            out.executions >= 20,
+            "only {} interleavings",
+            out.executions
+        );
+    }
+}
+
+#[test]
+fn event_order_first_version_drain_is_caught() {
+    for (recovering, expect) in [
+        (true, "before the Recover"),
+        (false, "before its ResetPeer"),
+    ] {
+        let out = models::check_event_order_first_version(recovering);
+        println!(
+            "event order (no take_events, recovering node: {recovering}): misorder found after {} interleavings",
+            out.executions
+        );
+        let msg = out
+            .violation
+            .expect("a decoded message overtaking queued events must be found");
+        assert!(msg.contains(expect), "unexpected violation: {msg}");
+    }
+}
