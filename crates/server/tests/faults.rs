@@ -218,6 +218,51 @@ fn injected_transport_failures_are_absorbed() {
 }
 
 #[test]
+fn a_disk_read_in_flight_at_a_crash_completes_into_the_void() {
+    // A crash loses the node's in-flight reads, as in the simulator: a
+    // node that recovers before such a read would have ended neither
+    // caches the file nor announces it to its peers.
+    let fixed = Duration::from_millis(50);
+    let cfg = LiveConfig {
+        disk_fixed: fixed,
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start(cfg, catalog(64, 1024));
+    let file = FileId(5);
+    // Nobody caches the file any more: node 0 reads it from its disk.
+    cluster.update_file(file);
+    let stats = cluster.stats();
+    let reads = ServerStats::get(&stats.disk_reads);
+    let caching = ServerStats::get(&stats.caching_msgs);
+    std::thread::scope(|s| {
+        let client = s.spawn(|| cluster.request(0, file, T));
+        let start = Instant::now();
+        while ServerStats::get(&stats.disk_reads) == reads {
+            assert!(start.elapsed() < fixed, "the read was never queued");
+            std::thread::yield_now();
+        }
+        cluster.crash_node(0);
+        cluster.recover_node(0);
+        assert!(
+            client.join().expect("client").is_err(),
+            "the crash answered the request"
+        );
+        assert!(start.elapsed() < fixed, "recovered only after the read");
+    });
+    std::thread::sleep(3 * fixed);
+    assert_eq!(
+        ServerStats::get(&stats.caching_msgs),
+        caching,
+        "the recovered node announced a read lost in its crash"
+    );
+    // Node 0 did not cache the file: serving it again takes a new read.
+    let data = cluster.request(0, file, T).expect("after recovery");
+    assert_eq!(data, file_contents(file, 1024));
+    assert_eq!(ServerStats::get(&stats.disk_reads), reads + 2);
+    cluster.shutdown();
+}
+
+#[test]
 fn recovery_under_load_loses_no_forward() {
     // Recovery queues the peer resets and `Recover` on the nodes' event
     // channels before the node turns reachable again, and every message

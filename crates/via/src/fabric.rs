@@ -21,10 +21,10 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use press_macros as press;
 use press_telem::{EventKind, TraceHandle};
@@ -805,7 +805,8 @@ impl CqSink {
 }
 
 /// Aggregates descriptor completions of multiple VIs into one queue
-/// (Section 2.1's CQs).
+/// (Section 2.1's CQs). The attached VIs' posts queue completions from
+/// any thread; the queue itself has one consumer, its owner.
 pub struct CompletionQueue {
     sink: CqSink,
     rx: Receiver<Completion>,
@@ -820,7 +821,7 @@ impl Default for CompletionQueue {
 impl CompletionQueue {
     /// Creates an empty completion queue.
     pub fn new() -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         CompletionQueue {
             sink: CqSink { tx, wake: None },
             rx,
@@ -852,23 +853,11 @@ impl CompletionQueue {
     pub fn wait(&self, timeout: Duration) -> Result<Completion, ViaError> {
         self.rx.recv_timeout(timeout).map_err(|_| ViaError::Timeout)
     }
-
-    /// Number of completions waiting.
-    pub fn len(&self) -> usize {
-        self.rx.len()
-    }
-
-    /// Whether no completions are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
-    }
 }
 
 impl std::fmt::Debug for CompletionQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompletionQueue")
-            .field("pending", &self.rx.len())
-            .finish()
+        f.debug_struct("CompletionQueue").finish_non_exhaustive()
     }
 }
 
@@ -1473,7 +1462,7 @@ mod tests {
         let mut expect = vec![vb1.id(), vb2.id()];
         expect.sort_unstable();
         assert_eq!(ids, expect);
-        assert!(cq.is_empty());
+        assert!(cq.poll().is_none());
     }
 
     /// Spins until `done` holds, failing the test after `T`.
@@ -1489,14 +1478,21 @@ mod tests {
 
     /// A completion queue whose wake hook polls the queue itself and logs
     /// the kind of the completion it found (None: nothing was queued).
-    fn self_polling_cq() -> (Arc<CompletionQueue>, KindLog) {
-        let cell: Arc<OnceLock<Weak<CompletionQueue>>> = Arc::new(OnceLock::new());
+    /// The hook runs on the posting thread, so the queue sits behind a
+    /// mutex.
+    fn self_polling_cq() -> (Arc<Mutex<CompletionQueue>>, KindLog) {
+        let cell: Arc<OnceLock<Weak<Mutex<CompletionQueue>>>> = Arc::new(OnceLock::new());
         let log = Arc::new(Mutex::new(Vec::new()));
         let (c, l) = (Arc::clone(&cell), Arc::clone(&log));
-        let cq = Arc::new(CompletionQueue::with_wake(Arc::new(move || {
-            let polled = c.get().and_then(Weak::upgrade).and_then(|cq| cq.poll());
-            l.lock().push(polled.map(|c| c.kind));
-        })));
+        let cq = Arc::new(Mutex::new(CompletionQueue::with_wake(Arc::new(
+            move || {
+                let polled = c
+                    .get()
+                    .and_then(Weak::upgrade)
+                    .and_then(|cq| cq.lock().poll());
+                l.lock().push(polled.map(|c| c.kind));
+            },
+        ))));
         let _ = cell.set(Arc::downgrade(&cq));
         (cq, log)
     }
@@ -1507,9 +1503,12 @@ mod tests {
         let fabric = Fabric::new();
         let a = fabric.create_nic("a");
         let b = fabric.create_nic("b");
-        let (va, vb) = fabric
-            .connect_with_cqs(&a, &b, Reliability::ReliableDelivery, Some(&cq), Some(&cq))
-            .unwrap();
+        let (va, vb) = {
+            let cq = cq.lock();
+            fabric
+                .connect_with_cqs(&a, &b, Reliability::ReliableDelivery, Some(&cq), Some(&cq))
+                .unwrap()
+        };
         let ma = a.register(vec![7; 16], false).unwrap();
         let mb = b.register(vec![0; 32], true).unwrap();
         vb.post_recv(Descriptor::new(mb, 0, 16)).unwrap();
@@ -1538,7 +1537,7 @@ mod tests {
         // drained and no further run follows.
         std::thread::sleep(Duration::from_millis(10));
         assert_eq!(log.lock().len(), 3);
-        assert!(cq.is_empty());
+        assert!(cq.lock().poll().is_none());
     }
 
     #[test]
