@@ -16,10 +16,10 @@
 //!   view, mirroring `crates/server/src/membership.rs`;
 //! * [`CrashRecoverModel`] — crash/recover races on one node: the epoch
 //!   must count exactly the transitions that changed the bitmask;
-//! * [`CreditRepairModel`] — the outbox's credit accounting under
-//!   `ResetPeer` repair racing a stale credit return, mirroring
-//!   `Outbox::credits`/`Outbox::reset_peer` in
-//!   `crates/server/src/node.rs`;
+//! * [`CreditRepairModel`] — the credit accounting under `ResetPeer`
+//!   repair racing a stale credit return, mirroring
+//!   `CreditWindow::grant`/`CreditWindow::refill` in
+//!   `crates/core/src/credit.rs` as the live outbox drives them;
 //! * [`EventOrderModel`] — the event order rule of a live node's loop
 //!   under crash recovery: the controller's `ResetPeer`/`Recover` events
 //!   against a peer's forward, mirroring `drain_cq`/`take_events` in
@@ -245,22 +245,25 @@ impl Model for CrashRecoverModel {
     }
 }
 
-/// The outbox's per-peer credit counter under repair.
+/// One peer's credit counter under repair.
 ///
 /// Mirrors the arrival-order race in `crates/server/src/node.rs`: the
-/// main loop applies its `ResetPeer` events and the credit returns its
-/// completion-queue drain decodes one at a time, so every interleaving
-/// of a stale credit return (from traffic consumed before the peer
-/// crashed) with the `ResetPeer` repair and further consumption is a
-/// possible arrival order. The window invariant — at
-/// most `window` in-flight, credits never exceed `window` — is exactly
-/// the bound that keeps send slots from being overwritten before the
-/// peer consumed them.
+/// main loop applies its `ResetPeer` events (`CreditWindow::refill`)
+/// and the credit returns its completion-queue drain decodes
+/// (`CreditWindow::grant`) one at a time, so every interleaving of a
+/// stale credit return (from traffic consumed before the peer crashed)
+/// with the repair and further consumption is a possible arrival order.
+/// The simulator has the same race between a crash's channel reset and
+/// a consumed Flow message. The window invariant — at most `window`
+/// in-flight, credits never exceed `window` — is exactly the bound that
+/// keeps send slots from being overwritten before the peer consumed
+/// them.
 ///
 /// With `clamped = false` (the pre-audit code: `credits += n`) the
 /// checker finds the overflow: reset restores a full window, then the
 /// stale return pushes credits past it. With `clamped = true` (the
-/// shipped fix) every arrival order keeps the invariant.
+/// shipped `press_core::credit::CreditWindow::grant`) every arrival
+/// order keeps the invariant.
 pub struct CreditRepairModel {
     clamped: bool,
     credits: Loc,

@@ -12,7 +12,7 @@ use press_model::{throughput, ModelParams};
 use press_net::ProtocolCombo;
 use press_sim::{Model, Scheduler, SimTime, Simulator};
 use press_trace::{FileId, ZipfSampler};
-use press_via::{CreditChannel, Descriptor, Fabric, Reliability, RemoteBuffer};
+use press_via::{Descriptor, Fabric, Reliability, RemoteBuffer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,21 +87,27 @@ fn bench_via(c: &mut Criterion) {
     let fabric = Fabric::new();
     let a = fabric.create_nic("a");
     let b = fabric.create_nic("b");
-    let (mut tx, mut rx) = CreditChannel::pair(&fabric, &a, &b, 16, 4, 4096).expect("pair");
-    let payload = vec![7u8; 4096];
+    let ma = a.register(vec![1u8; 4096], false).expect("register");
+    let mb = b.register(vec![0u8; 4096], true).expect("register");
+    let (vi, peer) = fabric
+        .connect(&a, &b, Reliability::ReliableDelivery)
+        .expect("connect");
     c.bench_function("via_send_recv_4k", |bch| {
         bch.iter(|| {
-            tx.send(&payload, Duration::from_secs(5)).expect("send");
-            let got = rx.recv(Duration::from_secs(5)).expect("recv");
-            assert_eq!(got.len(), 4096);
+            peer.post_recv(Descriptor::new(mb, 0, 4096))
+                .expect("post recv");
+            vi.post_send(Descriptor::new(ma, 0, 4096)).expect("send");
+            vi.wait_send_completion(Duration::from_secs(5))
+                .expect("completion")
+                .status
+                .expect("ok");
+            let got = peer
+                .wait_recv_completion(Duration::from_secs(5))
+                .expect("recv");
+            assert_eq!(got.transferred, 4096);
         })
     });
 
-    let ma = a.register(vec![1u8; 4096], false).expect("register");
-    let mb = b.register(vec![0u8; 4096], true).expect("register");
-    let (vi, _peer) = fabric
-        .connect(&a, &b, Reliability::ReliableDelivery)
-        .expect("connect");
     c.bench_function("via_rdma_write_4k", |bch| {
         bch.iter(|| {
             vi.rdma_write(

@@ -30,6 +30,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 pub mod batch;
 pub mod chaos;
+pub mod credit;
 mod driver;
 mod load;
 mod metrics;
@@ -39,6 +40,7 @@ mod server;
 mod version;
 
 pub use batch::{ExperimentRunner, Job, RunResult};
+pub use credit::{CreditReturns, CreditWindow};
 pub use driver::{run_simulation, run_simulation_traced, SimConfig, WorkloadSource};
 pub use load::Dissemination;
 pub use metrics::Metrics;

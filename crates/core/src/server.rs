@@ -8,7 +8,7 @@
 //! demands (the fixed send/receive costs include the thread hand-offs) on
 //! a single CPU resource per node, plus disk and NIC resources.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use press_cluster::{CpuCategory, FileCache, Node, NodeId, ServiceRates};
@@ -23,6 +23,7 @@ use press_trace::{FileCatalog, FileId, RequestLog, ScenarioOp, ScenarioPlan, Wor
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::credit::{CreditReturns, CreditWindow};
 use crate::load::Dissemination;
 use crate::overload::{CircuitBreaker, OverloadConfig};
 use crate::policy::{self, view_load, Decision, PolicyConfig, RequestView};
@@ -196,15 +197,6 @@ pub(crate) struct FaultCounters {
     pub invalidations: u64,
 }
 
-/// Per-channel (sender→receiver) flow-control state.
-#[derive(Debug, Default)]
-struct Channel {
-    credits: u32,
-    /// Messages consumed by the receiver since the last credit return.
-    freed: u32,
-    queued: VecDeque<Msg>,
-}
-
 /// Where the simulated requests come from.
 ///
 /// Both variants hold their (immutable) workload behind an [`Arc`], so a
@@ -221,8 +213,8 @@ pub enum SimWorkload {
 impl SimWorkload {
     pub(crate) fn catalog(&self) -> &FileCatalog {
         match self {
-            SimWorkload::Synthetic(wl) => wl.catalog(),
-            SimWorkload::Replay(log) => log.catalog(),
+            SimWorkload::Synthetic(wl) => Workload::catalog(wl),
+            SimWorkload::Replay(log) => RequestLog::catalog(log),
         }
     }
 }
@@ -241,7 +233,10 @@ pub struct ClusterSim {
     /// `load_views[i][j]` = node i's belief about node j's load.
     load_views: Vec<Vec<u32>>,
     last_broadcast: Vec<u32>,
-    channels: Vec<Channel>,
+    /// Flow control per `from → to` channel, indexed `from * n + to`:
+    /// the sender's window and the receiver's count of credits owed.
+    windows: Vec<CreditWindow<Msg>>,
+    credit_returns: Vec<CreditReturns>,
     requests: HashMap<u64, Request>,
     next_req: u64,
     cpu_inflation: f64,
@@ -385,7 +380,8 @@ impl ClusterSim {
             ever_requested,
             load_views: vec![vec![0; n]; n],
             last_broadcast: vec![0; n],
-            channels: (0..n * n).map(|_| Channel::new_with_window()).collect(),
+            windows: vec![CreditWindow::new(CREDIT_WINDOW); n * n],
+            credit_returns: vec![CreditReturns::new(CREDIT_BATCH); n * n],
             requests: HashMap::new(),
             next_req: 1,
             cpu_inflation,
@@ -500,7 +496,7 @@ impl ClusterSim {
     /// Messages still waiting for flow-control credits — nonzero after a
     /// completed run would indicate a credit leak (deadlock).
     pub(crate) fn stuck_messages(&self) -> usize {
-        self.channels.iter().map(|c| c.queued.len()).sum()
+        self.windows.iter().map(CreditWindow::queued_len).sum()
     }
 
     pub(crate) fn fault_stats(&self) -> FaultCounters {
@@ -541,9 +537,8 @@ impl ClusterSim {
 
     // ----- helpers -----
 
-    fn channel_mut(&mut self, from: u16, to: u16) -> &mut Channel {
-        let n = self.params.nodes;
-        &mut self.channels[from as usize * n + to as usize]
+    fn channel(&self, from: u16, to: u16) -> usize {
+        from as usize * self.params.nodes + to as usize
     }
 
     /// Charges CPU demand (inflated by the background polling overhead)
@@ -900,15 +895,8 @@ impl ClusterSim {
         credits: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        let mut release = Vec::new();
-        {
-            let ch = self.channel_mut(from, to);
-            ch.credits += credits;
-            while ch.credits > 0 && !ch.queued.is_empty() {
-                ch.credits -= 1;
-                release.push(ch.queued.pop_front().expect("non-empty queue"));
-            }
-        }
+        let ch = self.channel(from, to);
+        let released: Vec<Msg> = self.windows[ch].grant(credits).collect();
         self.trace_instant(
             now,
             from,
@@ -918,7 +906,9 @@ impl ClusterSim {
             credits as u64,
             to as u64,
         );
-        for m in release {
+        // Pop everything before sending anything: a send that is lost
+        // calls back into this window through `credit_back`.
+        for m in released {
             self.transmit(now, m, sched);
         }
     }
@@ -927,20 +917,13 @@ impl ClusterSim {
     /// paid for was lost; the credit immediately funds the next queued
     /// message if one is waiting.
     fn credit_back(&mut self, now: SimTime, from: u16, to: u16, sched: &mut Scheduler<Event>) {
-        let queued = {
-            let ch = self.channel_mut(from, to);
-            if ch.credits >= CREDIT_WINDOW {
-                return;
-            }
-            match ch.queued.pop_front() {
-                Some(m) => m,
-                None => {
-                    ch.credits += 1;
-                    return;
-                }
-            }
-        };
-        self.transmit(now, queued, sched);
+        let ch = self.channel(from, to);
+        // A non-empty queue means no credits: one credit releases at most
+        // one message.
+        let released = self.windows[ch].grant(1).next();
+        if let Some(m) = released {
+            self.transmit(now, m, sched);
+        }
     }
 
     /// Builds and sends one intra-cluster message, respecting flow control.
@@ -997,11 +980,15 @@ impl ClusterSim {
             origin_load,
             probe,
         };
-        if self.needs_credit(ty) {
-            let ch = self.channel_mut(from, to);
-            if ch.credits == 0 {
-                ch.queued.push_back(msg);
-                let depth = ch.queued.len() as u64;
+        if !self.needs_credit(ty) {
+            self.transmit(now, msg, sched);
+            return;
+        }
+        let ch = self.channel(from, to);
+        match self.windows[ch].admit(msg) {
+            Some(msg) => self.transmit(now, msg, sched),
+            None => {
+                let depth = self.windows[ch].queued_len() as u64;
                 self.trace_instant(
                     now,
                     from,
@@ -1011,11 +998,8 @@ impl ClusterSim {
                     depth,
                     to as u64,
                 );
-                return;
             }
-            ch.credits -= 1;
         }
-        self.transmit(now, msg, sched);
     }
 
     /// Pays the send-side costs and schedules delivery.
@@ -1728,15 +1712,9 @@ impl ClusterSim {
                 continue;
             }
             for (a, b) in [(node, peer), (peer, node)] {
-                let lost = {
-                    let ch = self.channel_mut(a, b);
-                    let lost = ch.queued.len() as u64;
-                    ch.queued.clear();
-                    ch.credits = CREDIT_WINDOW;
-                    ch.freed = 0;
-                    lost
-                };
-                self.fault_stats.dropped_messages += lost;
+                let ch = self.channel(a, b);
+                self.credit_returns[ch].forget();
+                self.fault_stats.dropped_messages += self.windows[ch].refill() as u64;
             }
         }
     }
@@ -1821,17 +1799,8 @@ impl ClusterSim {
         // The buffer is freed whatever the payload looks like, so this
         // happens before the corruption check.
         if self.needs_credit(msg.ty) {
-            let batch_ready = {
-                let ch = self.channel_mut(msg.from, msg.to);
-                ch.freed += 1;
-                if ch.freed >= CREDIT_BATCH {
-                    ch.freed = 0;
-                    true
-                } else {
-                    false
-                }
-            };
-            if batch_ready {
+            let ch = self.channel(msg.from, msg.to);
+            if let Some(credits) = self.credit_returns[ch].count_consumed() {
                 self.send_msg(
                     now,
                     MessageType::Flow,
@@ -1839,7 +1808,7 @@ impl ClusterSim {
                     msg.from,
                     0,
                     None,
-                    CREDIT_BATCH,
+                    credits,
                     sched,
                 );
             }
@@ -1941,16 +1910,6 @@ impl ClusterSim {
                     self.start_reply(now, req_id, sched);
                 }
             }
-        }
-    }
-}
-
-impl Channel {
-    fn new_with_window() -> Self {
-        Channel {
-            credits: CREDIT_WINDOW,
-            freed: 0,
-            queued: VecDeque::new(),
         }
     }
 }
@@ -2169,13 +2128,9 @@ impl Model for ClusterSim {
                     // never be sendable; count it as lost.
                     for peer in 0..self.params.nodes as u16 {
                         if peer != node {
-                            let lost = {
-                                let ch = self.channel_mut(peer, node);
-                                let lost = ch.queued.len() as u64;
-                                ch.queued.clear();
-                                lost
-                            };
-                            self.fault_stats.dropped_messages += lost;
+                            let ch = self.channel(peer, node);
+                            self.fault_stats.dropped_messages +=
+                                self.windows[ch].drop_queued() as u64;
                         }
                     }
                 }

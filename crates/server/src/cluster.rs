@@ -560,12 +560,6 @@ impl LiveCluster {
         self.ctl.membership.is_live(node)
     }
 
-    /// A consistent `(epoch, live-mask)` snapshot of the membership
-    /// view — see [`Membership::snapshot`] for the validation protocol.
-    pub fn membership_snapshot(&self) -> (u64, u64) {
-        self.ctl.membership.snapshot()
-    }
-
     /// Membership transitions so far (crashes + recoveries).
     pub fn membership_epoch(&self) -> u64 {
         self.ctl.membership.epoch()

@@ -24,8 +24,8 @@ use press_cluster::{FileCache, NodeId};
 use press_collect::{sample_peers, select_topology, DetRng, TreeView};
 use press_core::policy::{self, view_load};
 use press_core::{
-    decide, decorrelated_jitter_micros, CircuitBreaker, Decision, OverloadConfig, PolicyConfig,
-    RequestView,
+    decide, decorrelated_jitter_micros, CircuitBreaker, CreditReturns, CreditWindow, Decision,
+    OverloadConfig, PolicyConfig, RequestView,
 };
 use press_telem::{EventKind, TraceHandle};
 use press_trace::{FileCatalog, FileId};
@@ -329,9 +329,11 @@ pub(crate) struct NodeState {
     /// events it moved here first (see `take_events`); a pass takes from
     /// here before it reads the event channel.
     inbox: VecDeque<NodeEvent>,
-    cq_consumed: Vec<u32>,
+    /// Credits owed to each peer for the messages consumed from the
+    /// completion queue and from its file ring.
+    cq_consumed: Vec<CreditReturns>,
     ring_expected: Vec<u64>,
-    ring_consumed: Vec<u32>,
+    ring_consumed: Vec<CreditReturns>,
 }
 
 impl NodeState {
@@ -371,9 +373,9 @@ impl NodeState {
             crashed: false,
             out: Outbox::new(Arc::clone(&ctx)),
             inbox: VecDeque::new(),
-            cq_consumed: vec![0; n],
+            cq_consumed: vec![CreditReturns::new(ctx.credit_batch); n],
             ring_expected: vec![1; n],
-            ring_consumed: vec![0; n],
+            ring_consumed: vec![CreditReturns::new(ctx.credit_batch); n],
             ctx,
             cfg,
             events,
@@ -400,7 +402,7 @@ impl NodeState {
                         // doorbell before parking, so a batch only
                         // coalesces messages that were already queued and
                         // a lone message never waits for a later one.
-                        self.out.flush_all();
+                        self.out.wire.flush_all();
                         match self.events.recv_timeout(self.disk.park_timeout(tick)) {
                             Ok(ev) => Some(ev),
                             Err(RecvTimeoutError::Timeout) => {
@@ -465,7 +467,7 @@ impl NodeState {
         }
         // Drain whatever is still staged so no slab slot leaks its
         // in-flight mark across shutdown.
-        self.out.flush_all();
+        self.out.wire.flush_all();
     }
 
     /// Periodic load dissemination through remote memory writes: no
@@ -478,7 +480,7 @@ impl NodeState {
         self.events_since_load_write += 1;
         if self.events_since_load_write >= self.cfg.load_write_period {
             self.events_since_load_write = 0;
-            self.out.rdma_load(self.load);
+            self.out.wire.rdma_load(self.load);
         }
     }
 
@@ -992,7 +994,7 @@ impl NodeState {
                 if self.crashed {
                     // Sequence advances, data is lost, no credits flow
                     // back: the sender sees a peer that stopped consuming.
-                    self.ring_consumed[src] = 0;
+                    self.ring_consumed[src].forget();
                     continue;
                 }
                 let Ok(payload) = self.ctx.nic.read_region(ring, slot * slot_bytes, len) else {
@@ -1027,10 +1029,8 @@ impl NodeState {
 
 /// Counts one consumed credit-bearing message from `peer` and, once a
 /// batch has accumulated, returns the credits in one flow message.
-fn return_credits(ctx: &NodeCtx, out: &mut Outbox, peer: usize, consumed: &mut u32) {
-    *consumed += 1;
-    if *consumed >= ctx.credit_batch {
-        let n = std::mem::take(consumed);
+fn return_credits(ctx: &NodeCtx, out: &mut Outbox, peer: usize, returns: &mut CreditReturns) {
+    if let Some(n) = returns.count_consumed() {
         ServerStats::bump(&ctx.stats.flow_msgs);
         out.send(
             peer,
@@ -1249,13 +1249,65 @@ fn reap_slab(ctx: &NodeCtx, c: &press_via::Completion) {
     }
 }
 
-/// The send side of a node, owned by its main loop: per-peer credit
-/// windows and the messages queued behind them, slot and ring cursors,
-/// and the V6 doorbells. Nothing here blocks.
+/// The send side of a node, owned by its main loop: a credit window per
+/// peer over the messages queued behind it, and the [`Wire`] that posts
+/// them. Nothing here blocks.
 struct Outbox {
+    windows: Vec<CreditWindow<WireMsg>>,
+    wire: Wire,
+}
+
+impl Outbox {
+    fn new(ctx: Arc<NodeCtx>) -> Outbox {
+        Outbox {
+            windows: vec![CreditWindow::new(ctx.window); ctx.nodes],
+            wire: Wire::new(ctx),
+        }
+    }
+
+    /// Transmits `msg` to `to`. A `needs_credit` message takes one credit
+    /// from the peer's window, or waits in its queue while the window is
+    /// shut.
+    fn send(&mut self, to: usize, msg: WireMsg, needs_credit: bool) {
+        if !needs_credit {
+            self.wire.transmit(to, &msg);
+        } else if let Some(msg) = self.windows[to].admit(msg) {
+            self.wire.transmit(to, &msg);
+        } else {
+            // Credit stall: push staged traffic out now, or the peer can
+            // never consume it and return the credits this queue is
+            // waiting on.
+            self.wire.flush_peer(to);
+        }
+    }
+
+    /// Applies `n` credits returned by `from` and releases as many queued
+    /// messages as they cover. The window clamps a stale return (consumed
+    /// before the peer crashed) that arrives after a `reset_peer` repair,
+    /// or sends would overwrite unconsumed ring slots; press-analyze's
+    /// credit-repair interleaving model found that case.
+    fn credits(&mut self, from: usize, n: u32) {
+        for msg in self.windows[from].grant(n) {
+            self.wire.transmit(from, &msg);
+        }
+    }
+
+    /// The peer lost (or never saw) everything in flight: a fresh credit
+    /// window against its freshly reposted descriptors, and nothing stale
+    /// queued toward it. Staged batches are flushed (not dropped) so
+    /// their slab slots still complete and return to the pool.
+    fn reset_peer(&mut self, peer: usize) {
+        self.wire.flush_peer(peer);
+        self.windows[peer].refill();
+    }
+}
+
+/// Posts a node's messages: slot and ring cursors, the staging buffer,
+/// the sparse load sampler and the V6 doorbells. It is apart from the
+/// credit windows so that a grant posts the messages it releases while
+/// it still holds the window.
+struct Wire {
     ctx: Arc<NodeCtx>,
-    credits: Vec<u32>,
-    queued: Vec<VecDeque<WireMsg>>,
     next_slot: Vec<usize>,
     next_flow_slot: Vec<usize>,
     next_ring_seq: Vec<u64>,
@@ -1270,8 +1322,8 @@ struct Outbox {
     bells: Vec<Option<Doorbell>>,
 }
 
-impl Outbox {
-    fn new(ctx: Arc<NodeCtx>) -> Outbox {
+impl Wire {
+    fn new(ctx: Arc<NodeCtx>) -> Wire {
         let n = ctx.nodes;
         let bells = (0..n)
             .map(|peer| {
@@ -1281,9 +1333,7 @@ impl Outbox {
                     .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
             })
             .collect();
-        Outbox {
-            credits: vec![ctx.window; n],
-            queued: (0..n).map(|_| VecDeque::new()).collect(),
+        Wire {
             next_slot: vec![0; n],
             next_flow_slot: vec![0; n],
             next_ring_seq: vec![1; n],
@@ -1294,40 +1344,9 @@ impl Outbox {
         }
     }
 
-    /// Transmits `msg` to `to`. A `needs_credit` message takes one credit
-    /// from the peer's window, or waits in its queue while the window is
-    /// shut.
-    fn send(&mut self, to: usize, msg: WireMsg, needs_credit: bool) {
-        if needs_credit {
-            if self.credits[to] == 0 {
-                // Credit stall: push staged traffic out now, or the peer
-                // can never consume it and return the credits this queue
-                // is waiting on.
-                flush_bell(&self.ctx, &mut self.bells[to]);
-                self.queued[to].push_back(msg);
-                return;
-            }
-            self.credits[to] -= 1;
-        }
-        self.transmit(to, &msg);
-    }
-
-    /// Applies `n` credits returned by `from` and releases as many queued
-    /// messages as they cover.
-    fn credits(&mut self, from: usize, n: u32) {
-        // Clamp to the window: a stale credit return (consumed before the
-        // peer crashed) arriving after a `reset_peer` repair must not push
-        // credits past the slot count, or sends would overwrite unconsumed
-        // ring slots. Found by press-analyze's credit-repair interleaving
-        // model.
-        self.credits[from] = (self.credits[from] + n).min(self.ctx.window);
-        while self.credits[from] > 0 {
-            let Some(msg) = self.queued[from].pop_front() else {
-                break;
-            };
-            self.credits[from] -= 1;
-            self.transmit(from, &msg);
-        }
+    /// Rings one peer's doorbell.
+    fn flush_peer(&mut self, peer: usize) {
+        flush_bell(&self.ctx, &mut self.bells[peer]);
     }
 
     /// RDMA-writes `load` into every live peer's load table, or into a
@@ -1383,16 +1402,6 @@ impl Outbox {
                 ServerStats::bump(&ctx.stats.via_errors);
             }
         }
-    }
-
-    /// The peer lost (or never saw) everything in flight: a fresh credit
-    /// window against its freshly reposted descriptors, and nothing stale
-    /// queued toward it. Staged batches are flushed (not dropped) so
-    /// their slab slots still complete and return to the pool.
-    fn reset_peer(&mut self, peer: usize) {
-        flush_bell(&self.ctx, &mut self.bells[peer]);
-        self.credits[peer] = self.ctx.window;
-        self.queued[peer].clear();
     }
 
     /// Rings every staged doorbell.
@@ -1514,7 +1523,7 @@ fn drain_cq(
     cq: &CompletionQueue,
     events: &Receiver<NodeEvent>,
     out: &mut Outbox,
-    consumed: &mut [u32],
+    consumed: &mut [CreditReturns],
     inbox: &mut VecDeque<NodeEvent>,
 ) {
     while let Some(c) = cq.poll() {
@@ -1557,7 +1566,7 @@ fn drain_cq(
         if dead {
             // Dead hosts receive nothing: no credits returned, no events
             // queued. Senders time out and re-route.
-            consumed[peer] = 0;
+            consumed[peer].forget();
             continue;
         }
         // Whatever the channel held when `dead` read false (a recovery's

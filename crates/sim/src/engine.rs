@@ -265,11 +265,6 @@ impl<M: Model> Simulator<M> {
             self.step();
         }
     }
-
-    /// Consumes the simulator, returning the model.
-    pub fn into_model(self) -> M {
-        self.model
-    }
 }
 
 #[cfg(test)]

@@ -85,11 +85,6 @@ impl SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
-    }
-
     /// Multiplies a span by an integer factor.
     pub fn times(self, factor: u64) -> SimTime {
         SimTime(self.0 * factor)

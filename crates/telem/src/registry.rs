@@ -104,11 +104,6 @@ impl Registry {
             .record(sample);
     }
 
-    /// Merges a whole histogram into a series (for pre-aggregated data).
-    pub fn merge_histogram(&mut self, name: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.hists.entry(key(name, labels)).or_default().merge(h);
-    }
-
     /// Merges another registry into this one (counters add, gauges take
     /// the other's value, histograms merge).
     pub fn merge(&mut self, other: &Registry) {

@@ -105,11 +105,6 @@ impl MeanVar {
             self.m2 / (self.n - 1) as f64
         }
     }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// A relaxed atomic counter for lock-free hot paths (the live server's

@@ -741,39 +741,6 @@ impl Vi {
     pub fn posted_recvs(&self) -> usize {
         self.shared.recv_ring.len()
     }
-
-    /// Crate-internal region access for helpers layered over a `Vi`
-    /// (e.g. [`crate::CreditChannel`]): reads registered memory of the
-    /// owning NIC.
-    pub(crate) fn region_read(
-        &self,
-        region: MemHandle,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, ViaError> {
-        let r = self.nic.region(region)?;
-        let bytes = r.bytes.read();
-        if offset + len > bytes.len() {
-            return Err(ViaError::OutOfBounds);
-        }
-        Ok(bytes[offset..offset + len].to_vec())
-    }
-
-    /// Crate-internal write into the owning NIC's registered memory.
-    pub(crate) fn region_write(
-        &self,
-        region: MemHandle,
-        offset: usize,
-        data: &[u8],
-    ) -> Result<(), ViaError> {
-        let r = self.nic.region(region)?;
-        let mut bytes = r.bytes.write();
-        if offset + data.len() > bytes.len() {
-            return Err(ViaError::OutOfBounds);
-        }
-        bytes[offset..offset + data.len()].copy_from_slice(data);
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for Vi {

@@ -1,20 +1,17 @@
-//! Window-based flow control over a VI pair.
+//! Doorbell batching for the V6 fast path.
 //!
-//! PRESS runs its own credit-based flow control over VIA (the paper's
-//! fifth message type): a sender may only have `window` unconsumed
-//! messages outstanding, and the receiver returns credits in batches as
-//! it consumes them. This module packages that protocol as a reusable
-//! channel — it is also what keeps reliable VIA connections from hitting
-//! [`crate::ViaError::ReceiverNotReady`].
+//! PRESS's credit-based flow control (the paper's fifth message type)
+//! is not here: both engines share `press_core::credit`, and the live
+//! node runs it over these VIs. This module holds only [`Doorbell`],
+//! which coalesces sends into one post.
 
 use std::time::{Duration, Instant};
 
 use press_macros as press;
 
-use crate::descriptor::{CompletionKind, Descriptor, SgList};
+use crate::descriptor::{Descriptor, SgList};
 use crate::error::ViaError;
-use crate::fabric::{Fabric, Nic, Reliability, Vi};
-use crate::mem::MemHandle;
+use crate::fabric::Vi;
 
 /// Maximum number of staged sends one doorbell ring may carry.
 ///
@@ -171,325 +168,13 @@ impl Doorbell {
     }
 }
 
-/// One direction of a credit-controlled message channel between two NICs.
-///
-/// Construction posts `window` receive buffers of `buf_bytes` each at the
-/// receiving side and `window` small credit buffers at the sending side.
-/// [`CreditChannel::send`] blocks (consuming returned credits) when the
-/// window is exhausted; [`CreditChannel::recv`] consumes one message,
-/// reposts its buffer, and returns a credit to the sender every
-/// `batch` consumed messages.
-///
-/// # Example
-///
-/// ```
-/// use press_via::{CreditChannel, Fabric};
-/// use std::time::Duration;
-///
-/// # fn main() -> Result<(), press_via::ViaError> {
-/// let fabric = Fabric::new();
-/// let a = fabric.create_nic("a");
-/// let b = fabric.create_nic("b");
-/// let (mut tx, mut rx) = CreditChannel::pair(&fabric, &a, &b, 4, 2, 1024)?;
-/// tx.send(b"fly, little message", Duration::from_secs(1))?;
-/// let got = rx.recv(Duration::from_secs(1))?;
-/// assert_eq!(&got, b"fly, little message");
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct CreditChannel {
-    vi: Vi,
-    side: Side,
-}
-
-#[derive(Debug)]
-enum Side {
-    Sender {
-        credits: u32,
-        send_region: MemHandle,
-        buf_bytes: usize,
-        next_slot: usize,
-        window: u32,
-        outstanding_sends: u32,
-    },
-    Receiver {
-        recv_region: MemHandle,
-        ack_region: MemHandle,
-        buf_bytes: usize,
-        consumed_since_credit: u32,
-        batch: u32,
-        outstanding_acks: u32,
-    },
-}
-
-impl CreditChannel {
-    /// Builds a sender/receiver pair with `window` outstanding-message
-    /// credits, credit batches of `batch`, and `buf_bytes` per message.
-    ///
-    /// # Errors
-    ///
-    /// Propagates registration/posting failures from the fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window == 0`, `batch == 0`, `batch > window`, or
-    /// `window % batch != 0` (credits would leak otherwise).
-    pub fn pair(
-        fabric: &Fabric,
-        a: &Nic,
-        b: &Nic,
-        window: u32,
-        batch: u32,
-        buf_bytes: usize,
-    ) -> Result<(CreditChannel, CreditChannel), ViaError> {
-        assert!(window > 0 && batch > 0, "window and batch must be positive");
-        assert!(batch <= window, "batch cannot exceed the window");
-        assert_eq!(window % batch, 0, "window must be a multiple of batch");
-        let (vi_a, vi_b) = fabric.connect(a, b, Reliability::ReliableDelivery)?;
-
-        // Sender side: staging buffers for outgoing messages, and small
-        // buffers to receive credit returns into.
-        let send_region = a.register(vec![0; buf_bytes * window as usize], false)?;
-        let credit_region = a.register(vec![0; 4 * window as usize], false)?;
-        for i in 0..window as usize {
-            vi_a.post_recv(Descriptor::new(credit_region, i * 4, 4))?;
-        }
-
-        // Receiver side: data buffers, and a tiny region to send credit
-        // messages from.
-        let recv_region = b.register(vec![0; buf_bytes * window as usize], false)?;
-        let ack_region = b.register(vec![0; 4], false)?;
-        for i in 0..window as usize {
-            vi_b.post_recv(Descriptor::new(recv_region, i * buf_bytes, buf_bytes))?;
-        }
-
-        Ok((
-            CreditChannel {
-                vi: vi_a,
-                side: Side::Sender {
-                    credits: window,
-                    send_region,
-                    buf_bytes,
-                    next_slot: 0,
-                    window,
-                    outstanding_sends: 0,
-                },
-            },
-            CreditChannel {
-                vi: vi_b,
-                side: Side::Receiver {
-                    recv_region,
-                    ack_region,
-                    buf_bytes,
-                    consumed_since_credit: 0,
-                    batch,
-                    outstanding_acks: 0,
-                },
-            },
-        ))
-    }
-
-    /// Sends `data`, blocking for returned credits if the window is full.
-    ///
-    /// # Errors
-    ///
-    /// * [`ViaError::RecvBufferTooSmall`] if `data` exceeds the buffer size;
-    /// * [`ViaError::Timeout`] if no credit returns in time;
-    /// * fabric errors from the underlying post.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on the receiving side.
-    pub fn send(&mut self, data: &[u8], timeout: Duration) -> Result<(), ViaError> {
-        let vi = self.vi.clone();
-        let Side::Sender {
-            credits,
-            send_region,
-            buf_bytes,
-            next_slot,
-            window,
-            outstanding_sends,
-            ..
-        } = &mut self.side
-        else {
-            panic!("send called on the receiving side");
-        };
-        if data.len() > *buf_bytes {
-            return Err(ViaError::RecvBufferTooSmall);
-        }
-        while *credits == 0 {
-            // Wait for a credit-return message.
-            let c = vi.wait_recv_completion(timeout)?;
-            if c.is_ok() {
-                *credits += u32::from_le_bytes(read_credit(&vi, &c)?);
-            }
-        }
-        // Reap send completions opportunistically so the queue can't grow
-        // without bound.
-        while let Some(_c) = try_send_completion(&vi) {
-            *outstanding_sends = outstanding_sends.saturating_sub(1);
-        }
-        let slot = *next_slot;
-        *next_slot = (*next_slot + 1) % *window as usize;
-        let offset = slot * *buf_bytes;
-        nic_write(&vi, *send_region, offset, data)?;
-        vi.post_send(Descriptor::new(*send_region, offset, data.len()))?;
-        *credits -= 1;
-        *outstanding_sends += 1;
-        Ok(())
-    }
-
-    /// Receives the next message, reposting its buffer and returning
-    /// credits every `batch` messages.
-    ///
-    /// # Errors
-    ///
-    /// * [`ViaError::Timeout`] if nothing arrives in time;
-    /// * the completion's error if the transfer failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on the sending side.
-    pub fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, ViaError> {
-        let vi = self.vi.clone();
-        let Side::Receiver {
-            recv_region,
-            ack_region,
-            buf_bytes,
-            consumed_since_credit,
-            batch,
-            outstanding_acks,
-        } = &mut self.side
-        else {
-            panic!("recv called on the sending side");
-        };
-        let c = vi.wait_recv_completion(timeout)?;
-        c.status?;
-        let data = nic_read(&vi, c.descriptor.region, c.descriptor.offset, c.transferred)?;
-        // Repost the consumed buffer.
-        vi.post_recv(Descriptor::new(
-            *recv_region,
-            c.descriptor.offset,
-            *buf_bytes,
-        ))?;
-        *consumed_since_credit += 1;
-        if *consumed_since_credit >= *batch {
-            nic_write(&vi, *ack_region, 0, &consumed_since_credit.to_le_bytes())?;
-            vi.post_send(Descriptor::new(*ack_region, 0, 4))?;
-            *consumed_since_credit = 0;
-            *outstanding_acks += 1;
-            // Reap ack-send completions.
-            while let Some(_c) = try_send_completion(&vi) {
-                *outstanding_acks = outstanding_acks.saturating_sub(1);
-            }
-        }
-        Ok(data)
-    }
-}
-
-fn try_send_completion(vi: &Vi) -> Option<crate::descriptor::Completion> {
-    // Send completions share the send_done queue for both plain sends and
-    // credit acks; reap without blocking.
-    match vi.wait_send_completion(Duration::from_millis(0)) {
-        Ok(c) if c.kind == CompletionKind::Send || c.kind == CompletionKind::RdmaWrite => Some(c),
-        _ => None,
-    }
-}
-
-fn read_credit(vi: &Vi, c: &crate::descriptor::Completion) -> Result<[u8; 4], ViaError> {
-    let bytes = nic_read(vi, c.descriptor.region, c.descriptor.offset, 4)?;
-    // Repost the credit buffer for the next return.
-    vi.post_recv(Descriptor::new(c.descriptor.region, c.descriptor.offset, 4))?;
-    Ok([bytes[0], bytes[1], bytes[2], bytes[3]])
-}
-
-// The channel needs region access through the Vi's owning NIC; expose the
-// two helpers crate-internally on Vi.
-fn nic_read(vi: &Vi, region: MemHandle, offset: usize, len: usize) -> Result<Vec<u8>, ViaError> {
-    vi.region_read(region, offset, len)
-}
-
-fn nic_write(vi: &Vi, region: MemHandle, offset: usize, data: &[u8]) -> Result<(), ViaError> {
-    vi.region_write(region, offset, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::{Fabric, Nic, Reliability};
+    use crate::mem::MemHandle;
 
     const T: Duration = Duration::from_secs(2);
-
-    fn setup(window: u32, batch: u32, buf: usize) -> (Nic, Nic, CreditChannel, CreditChannel) {
-        let fabric = Fabric::new();
-        let a = fabric.create_nic("a");
-        let b = fabric.create_nic("b");
-        let (tx, rx) = CreditChannel::pair(&fabric, &a, &b, window, batch, buf).expect("pair");
-        (a, b, tx, rx)
-    }
-
-    #[test]
-    fn messages_flow_in_order() {
-        let (_a, _b, mut tx, mut rx) = setup(4, 2, 64);
-        for i in 0..10u8 {
-            tx.send(&[i; 8], T).unwrap();
-            let got = rx.recv(T).unwrap();
-            assert_eq!(got, vec![i; 8]);
-        }
-    }
-
-    #[test]
-    fn window_blocks_until_credits_return() {
-        let (_a, _b, mut tx, mut rx) = setup(2, 2, 32);
-        tx.send(b"one", T).unwrap();
-        tx.send(b"two", T).unwrap();
-        // Window exhausted; no recv happened, so the next send times out.
-        let err = tx.send(b"three", Duration::from_millis(100));
-        assert_eq!(err, Err(ViaError::Timeout));
-        // Consuming both returns a credit batch and unblocks the sender.
-        assert_eq!(rx.recv(T).unwrap(), b"one");
-        assert_eq!(rx.recv(T).unwrap(), b"two");
-        tx.send(b"three", T).unwrap();
-        assert_eq!(rx.recv(T).unwrap(), b"three");
-    }
-
-    #[test]
-    fn oversized_message_rejected() {
-        let (_a, _b, mut tx, _rx) = setup(2, 1, 16);
-        assert_eq!(tx.send(&[0; 17], T), Err(ViaError::RecvBufferTooSmall));
-    }
-
-    #[test]
-    fn sustained_traffic_across_threads() {
-        let (_a, _b, mut tx, mut rx) = setup(8, 4, 128);
-        let producer = std::thread::spawn(move || {
-            for i in 0..500u32 {
-                tx.send(&i.to_le_bytes(), Duration::from_secs(10)).unwrap();
-            }
-        });
-        for expected in 0..500u32 {
-            let got = rx.recv(Duration::from_secs(10)).unwrap();
-            let v = u32::from_le_bytes([got[0], got[1], got[2], got[3]]);
-            assert_eq!(v, expected);
-        }
-        producer.join().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of batch")]
-    fn window_must_be_multiple_of_batch() {
-        let fabric = Fabric::new();
-        let a = fabric.create_nic("a");
-        let b = fabric.create_nic("b");
-        let _ = CreditChannel::pair(&fabric, &a, &b, 5, 2, 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "receiving side")]
-    fn send_on_receiver_panics() {
-        let (_a, _b, _tx, mut rx) = setup(2, 1, 16);
-        let _ = rx.send(b"nope", T);
-    }
 
     fn doorbell_setup(batch: usize, max_delay: Duration) -> (Nic, Nic, Doorbell, Vi, MemHandle) {
         let fabric = Fabric::new();

@@ -62,5 +62,5 @@ mod spsc;
 pub use descriptor::{Completion, CompletionKind, Descriptor, SgList, MAX_SEGMENTS};
 pub use error::ViaError;
 pub use fabric::{CompletionQueue, Fabric, FaultConfig, Nic, Reliability, RemoteBuffer, Vi};
-pub use flow::{CreditChannel, Doorbell, MAX_DOORBELL};
+pub use flow::{Doorbell, MAX_DOORBELL};
 pub use mem::{MemHandle, SlabPool, SlabSlot};

@@ -1,13 +1,12 @@
 //! End-to-end test of the software VIA substrate: a three-node cluster of
-//! real threads forwarding requests and shipping files over credit
-//! channels, with RDMA-written load information — a miniature of the
-//! `live_cluster` example, small enough for CI.
+//! real threads forwarding requests and shipping files over VI pairs,
+//! with RDMA-written load information, small enough for CI.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use press::via::{CreditChannel, Descriptor, Fabric, Reliability, RemoteBuffer, Vi};
+use press::via::{Descriptor, Fabric, MemHandle, Nic, Reliability, RemoteBuffer, Vi};
 
 const NODES: usize = 3;
 const FILE_BYTES: usize = 2048;
@@ -20,6 +19,58 @@ fn owner(file: u32) -> usize {
 
 fn content(file: u32) -> u8 {
     (file.wrapping_mul(97).wrapping_add(13) & 0xFF) as u8
+}
+
+/// One end of a request/reply VI: a receive buffer kept posted, then a
+/// staging slot for sends. A client has at most one request outstanding
+/// per peer, so one posted receive on each end is the whole window.
+struct End {
+    nic: Arc<Nic>,
+    vi: Vi,
+    region: MemHandle,
+    recv_len: usize,
+}
+
+impl End {
+    fn new(nic: &Arc<Nic>, vi: Vi, recv_len: usize, send_len: usize) -> End {
+        let region = nic
+            .register(vec![0; recv_len + send_len], false)
+            .expect("register");
+        vi.post_recv(Descriptor::new(region, 0, recv_len))
+            .expect("post recv");
+        End {
+            nic: Arc::clone(nic),
+            vi,
+            region,
+            recv_len,
+        }
+    }
+
+    fn send(&self, data: &[u8]) {
+        self.nic
+            .write_region(self.region, self.recv_len, data)
+            .expect("stage");
+        self.vi
+            .post_send(Descriptor::new(self.region, self.recv_len, data.len()))
+            .expect("post send");
+        let c = self.vi.wait_send_completion(T).expect("send completion");
+        c.status.expect("sent");
+    }
+
+    /// The next message, with the receive buffer reposted before it
+    /// returns; `None` if nothing arrived within `timeout`.
+    fn recv(&self, timeout: Duration) -> Option<Vec<u8>> {
+        let c = self.vi.wait_recv_completion(timeout).ok()?;
+        c.status.expect("received");
+        let data = self
+            .nic
+            .read_region(self.region, 0, c.transferred)
+            .expect("read");
+        self.vi
+            .post_recv(Descriptor::new(self.region, 0, self.recv_len))
+            .expect("repost recv");
+        Some(data)
+    }
 }
 
 #[test]
@@ -36,12 +87,12 @@ fn forwarded_file_transfers_and_rdma_loads() {
         })
         .collect();
 
-    // client_chans[i][j]: i's request-tx to j and reply-rx from j.
-    // server_chans[j][i]: j's request-rx from i and reply-tx to i.
-    let mut client_chans: Vec<Vec<Option<(CreditChannel, CreditChannel)>>> = (0..NODES)
+    // client_ends[i][j]: i's end of the request/reply VI to j.
+    // server_ends[j][i]: j's end of the same VI.
+    let mut client_ends: Vec<Vec<Option<End>>> = (0..NODES)
         .map(|_| (0..NODES).map(|_| None).collect())
         .collect();
-    let mut server_chans: Vec<Vec<Option<(CreditChannel, CreditChannel)>>> = (0..NODES)
+    let mut server_ends: Vec<Vec<Option<End>>> = (0..NODES)
         .map(|_| (0..NODES).map(|_| None).collect())
         .collect();
     let mut load_vis: Vec<Vec<Option<Vi>>> = (0..NODES)
@@ -53,13 +104,11 @@ fn forwarded_file_transfers_and_rdma_loads() {
             if i == j {
                 continue;
             }
-            let (req_tx, req_rx) =
-                CreditChannel::pair(&fabric, &nics[i], &nics[j], 8, 4, 16).expect("req channel");
-            let (rep_tx, rep_rx) =
-                CreditChannel::pair(&fabric, &nics[j], &nics[i], 8, 4, FILE_BYTES)
-                    .expect("rep channel");
-            client_chans[i][j] = Some((req_tx, rep_rx));
-            server_chans[j][i] = Some((req_rx, rep_tx));
+            let (client, server) = fabric
+                .connect(&nics[i], &nics[j], Reliability::ReliableDelivery)
+                .expect("request vi");
+            client_ends[i][j] = Some(End::new(&nics[i], client, FILE_BYTES, 4));
+            server_ends[j][i] = Some(End::new(&nics[j], server, 4, FILE_BYTES));
             let (vi, _peer) = fabric
                 .connect(&nics[i], &nics[j], Reliability::ReliableDelivery)
                 .expect("load vi");
@@ -70,33 +119,25 @@ fn forwarded_file_transfers_and_rdma_loads() {
     let finished = Arc::new(AtomicU32::new(0));
     let mut handles = Vec::new();
 
-    for (j, row) in server_chans.into_iter().enumerate() {
-        let mut peers: Vec<(usize, CreditChannel, CreditChannel)> = row
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|(rx, tx)| (i, rx, tx)))
-            .collect();
+    for (j, row) in server_ends.into_iter().enumerate() {
+        let peers: Vec<End> = row.into_iter().flatten().collect();
         let finished = Arc::clone(&finished);
         handles.push(std::thread::spawn(move || {
             let poll = Duration::from_millis(1);
             while finished.load(Ordering::Acquire) < NODES as u32 {
-                for (_, rx, tx) in peers.iter_mut() {
-                    if let Ok(req) = rx.recv(poll) {
+                for end in &peers {
+                    if let Some(req) = end.recv(poll) {
                         let file = u32::from_le_bytes([req[0], req[1], req[2], req[3]]);
                         assert_eq!(owner(file), j);
-                        tx.send(&vec![content(file); FILE_BYTES], T).expect("reply");
+                        end.send(&vec![content(file); FILE_BYTES]);
                     }
                 }
             }
         }));
     }
 
-    for (i, (row, vi_row)) in client_chans.into_iter().zip(load_vis).enumerate() {
-        let mut peers: Vec<(usize, CreditChannel, CreditChannel)> = row
-            .into_iter()
-            .enumerate()
-            .filter_map(|(j, c)| c.map(|(tx, rx)| (j, tx, rx)))
-            .collect();
+    for (i, (row, vi_row)) in client_ends.into_iter().zip(load_vis).enumerate() {
+        let peers = row;
         let vis: Vec<(usize, Vi)> = vi_row
             .into_iter()
             .enumerate()
@@ -131,9 +172,9 @@ fn forwarded_file_transfers_and_rdma_loads() {
                 if j == i {
                     continue; // served locally; nothing to exercise
                 }
-                let (_, tx, rx) = peers.iter_mut().find(|(t, _, _)| *t == j).expect("peer");
-                tx.send(&file.to_le_bytes(), T).expect("forward");
-                let data = rx.recv(T).expect("file");
+                let end = peers[j].as_ref().expect("peer");
+                end.send(&file.to_le_bytes());
+                let data = end.recv(T).expect("file");
                 assert_eq!(data.len(), FILE_BYTES);
                 assert!(
                     data.iter().all(|&b| b == content(file)),
