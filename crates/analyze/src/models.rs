@@ -351,7 +351,9 @@ enum NodeEv {
 
 /// The node's loop state in [`EventOrderModel`]. The event channel is a
 /// mutexed FIFO queue, so it is plain model state: every push and pop is
-/// one step in the global order.
+/// one step in the global order. The loop's poll before it parks takes
+/// from the same FIFO channel as its park, so the modelled order is
+/// unchanged.
 #[derive(Debug, Clone)]
 struct NodeLoop {
     /// The shipped drain: `take_events` before a decoded message.

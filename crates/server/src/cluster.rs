@@ -132,7 +132,10 @@ impl std::error::Error for LiveError {}
 /// Each node runs one host thread: a main thread (decisions, caching,
 /// pending-request tracking) that also posts to its VIs, drains its
 /// completion queue and keeps its disk as a timed FIFO queue, parking no
-/// longer than until the head read completes. Figure 2 of the paper adds
+/// longer than until the head read completes. After a pass that handled
+/// an event it polls its event channel briefly before it parks, so most
+/// hand-offs between busy nodes skip the futex wake; an idle node parks
+/// at once. Figure 2 of the paper adds
 /// send, receive and disk helper threads; here the main thread polls
 /// instead, as the paper's V3+ main thread does, because each hand-off
 /// between host threads cost more than the message it carried. Load

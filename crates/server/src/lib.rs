@@ -25,7 +25,9 @@
 //! so the main loop's park timeout does that instead. The NIC has no
 //! thread either: a post runs its transfer in the posting main thread,
 //! which wakes a parked peer through a hook on the peer's completion
-//! queue and file rings.
+//! queue and file rings. A busy main loop polls its event channel
+//! briefly before it parks, so a wake-up that comes soon costs no
+//! futex wake.
 //!
 //! Load information travels exclusively through **remote memory writes**
 //! into per-node load tables — the mechanism the paper found ideal for

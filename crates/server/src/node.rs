@@ -290,6 +290,17 @@ fn breaker_allows(breakers: &[CircuitBreaker], peer: usize, now_micros: u64) -> 
     breakers.is_empty() || breakers[peer].allow(now_micros)
 }
 
+/// How long the main loop polls its event channel after a pass that
+/// handled an event, before it parks. A peer's reply or forward usually
+/// lands within this window, and a poll that catches it saves the futex
+/// wake of a parked thread. The paper's main thread polls and never
+/// parks; this one parks once the budget runs out, so an idle node costs
+/// no CPU.
+const POLL_BUDGET: Duration = Duration::from_micros(50);
+
+/// Channel tries between yields while the main loop polls.
+const POLL_TRIES: u32 = 64;
+
 /// The main thread's state: it parses requests, decides locally-vs-
 /// forward, manages the cache, tracks pending forwards, posts through its
 /// [`Outbox`] and drains its completion queue. [`NodeState::run`] feeds
@@ -383,13 +394,18 @@ impl NodeState {
         }
     }
 
-    /// The main loop. It parks only on its event channel, never on I/O,
-    /// and no longer than until the disk's head read completes.
+    /// The main loop. It waits only on its event channel, never on I/O,
+    /// and no longer than until the disk's head read completes. After a
+    /// pass that handled an event it polls the channel for up to
+    /// [`POLL_BUDGET`] before it parks, so a peer's wake-up that comes
+    /// soon is taken without a futex wake ([`NodeState::wait_event`]).
     pub(crate) fn run(mut self) {
         // The tick only bounds how late a retry deadline is noticed.
         // Nothing else waits for it: every completion and landed ring
         // write wakes the loop, and the park ends when a disk read does.
         let tick = Duration::from_millis(1);
+        // The last pass took an event off the inbox or the channel.
+        let mut busy = false;
         loop {
             let mut ticked = false;
             let event = match self.inbox.pop_front() {
@@ -403,7 +419,7 @@ impl NodeState {
                         // coalesces messages that were already queued and
                         // a lone message never waits for a later one.
                         self.out.wire.flush_all();
-                        match self.events.recv_timeout(self.disk.park_timeout(tick)) {
+                        match self.wait_event(busy, tick) {
                             Ok(ev) => Some(ev),
                             Err(RecvTimeoutError::Timeout) => {
                                 ticked = true;
@@ -420,6 +436,7 @@ impl NodeState {
             let got_event = event
                 .as_ref()
                 .is_some_and(|ev| !matches!(ev, NodeEvent::Wake | NodeEvent::ResetPeer { .. }));
+            busy = event.is_some();
             match event {
                 Some(NodeEvent::Shutdown) => break,
                 Some(event) => self.handle(event),
@@ -468,6 +485,45 @@ impl NodeState {
         // Drain whatever is still staged so no slab slot leaks its
         // in-flight mark across shutdown.
         self.out.wire.flush_all();
+    }
+
+    /// Waits for the next channel event until the park deadline: the
+    /// tick, or the disk's head read if it completes sooner. After a
+    /// `busy` pass it first polls the channel for up to [`POLL_BUDGET`],
+    /// yielding between batches of tries so that a runnable peer still
+    /// gets the core, then parks for the rest of the time. The wait ends
+    /// at the same instant with or without the poll. Only the channel is
+    /// polled, so every completion and ring write still reaches the loop
+    /// through its wake hook. A node whose last pass handled nothing (the
+    /// first pass, or one whose wait timed out) parks at once.
+    fn wait_event(&self, busy: bool, tick: Duration) -> Result<NodeEvent, RecvTimeoutError> {
+        if !busy {
+            return self.events.recv_timeout(self.disk.park_timeout(tick));
+        }
+        ServerStats::bump(&self.ctx.stats.polls);
+        let start = Instant::now();
+        let poll_end = start + POLL_BUDGET.min(self.disk.park_timeout(tick));
+        loop {
+            for _ in 0..POLL_TRIES {
+                match self.events.try_recv() {
+                    Ok(ev) => {
+                        ServerStats::bump(&self.ctx.stats.poll_hits);
+                        return Ok(ev);
+                    }
+                    Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
+                    Err(TryRecvError::Empty) => std::hint::spin_loop(),
+                }
+            }
+            let now = Instant::now();
+            if now >= poll_end {
+                // Recomputed: the park ends when the head read completes
+                // or the tick started at `start` runs out, as without the
+                // poll.
+                let rest = tick.saturating_sub(now - start);
+                return self.events.recv_timeout(self.disk.park_timeout(rest));
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Periodic load dissemination through remote memory writes: no

@@ -48,6 +48,11 @@ pub struct ServerStats {
     /// with no wake-up raised for it: each is a reply whose completion or
     /// ring write failed to wake the loop.
     pub replies_found_by_tick: AtomicCounter,
+    /// Main-loop waits that polled the event channel before parking:
+    /// those after a pass that handled an event.
+    pub polls: AtomicCounter,
+    /// Events a poll caught, each one a futex wake saved.
+    pub poll_hits: AtomicCounter,
 }
 
 impl ServerStats {
@@ -74,7 +79,7 @@ impl ServerStats {
     /// Publishes every counter into a telemetry [`Registry`] under the
     /// `press_live_*` names, with any caller-supplied labels.
     pub fn fill_registry(&self, reg: &mut Registry, labels: &[(&str, &str)]) {
-        let series: [(&str, &AtomicCounter); 18] = [
+        let series: [(&str, &AtomicCounter); 20] = [
             ("press_live_served_local", &self.served_local),
             ("press_live_forwarded", &self.forwarded),
             ("press_live_disk_reads", &self.disk_reads),
@@ -96,6 +101,8 @@ impl ServerStats {
                 "press_live_replies_found_by_tick",
                 &self.replies_found_by_tick,
             ),
+            ("press_live_polls", &self.polls),
+            ("press_live_poll_hits", &self.poll_hits),
         ];
         for (name, c) in series {
             reg.inc(name, labels, c.get());
@@ -125,7 +132,7 @@ mod tests {
         let mut reg = Registry::default();
         s.fill_registry(&mut reg, &[("engine", "live")]);
         let recs = reg.records();
-        assert_eq!(recs.len(), 18);
+        assert_eq!(recs.len(), 20);
         let file_msgs = recs
             .iter()
             .find(|r| r.name == "press_live_file_msgs")

@@ -499,6 +499,33 @@ fn regular_replies_wake_the_main_loop() {
 }
 
 #[test]
+fn an_idle_cluster_never_polls() {
+    // A main loop polls its event channel only after a pass that handled
+    // an event: freshly started and idle ticking nodes park at once, and
+    // under closed-loop traffic some hand-offs are caught by the poll.
+    let cluster = LiveCluster::start(LiveConfig::default(), small_catalog(32, 2048));
+    let polls = |c: &LiveCluster| ServerStats::get(&c.stats().polls);
+    std::thread::sleep(Duration::from_millis(50));
+    assert_eq!(polls(&cluster), 0, "an idle node polled");
+    for i in 0..200u32 {
+        let file = FileId((i * 7) % 32);
+        let data = cluster.request(i as usize % 4, file, T).expect("request");
+        assert_eq!(data, file_contents(file, 2048), "request {i}");
+    }
+    let stats = cluster.stats();
+    assert!(
+        ServerStats::get(&stats.forwarded) > 0,
+        "no forwarding happened"
+    );
+    assert!(polls(&cluster) > 0, "no busy pass polled");
+    assert!(
+        ServerStats::get(&stats.poll_hits) > 0,
+        "no poll caught an event"
+    );
+    cluster.shutdown();
+}
+
+#[test]
 fn fast_path_survives_window_pressure() {
     // Tiny windows force credit stalls — each stall must flush the
     // doorbell or the cluster deadlocks waiting on credits.
